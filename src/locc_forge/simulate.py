@@ -6,11 +6,21 @@ sampled measurement with classical communication.  Outcome probabilities are
 always recomputed from the operators acting on the state (never taken from
 the nominal stage-1 weights), so simulation independently cross-checks the
 synthesis formulas.
+
+``run_once`` with ``trial_rng`` is the scalar reference: one trial, one
+generator.  ``estimate`` returns what a loop of ``run_once`` over trials
+``0..trials-1`` would give, bit for bit, but computes each branch's
+quantities once from the operators and draws the uniforms of many trials at
+once.  Trial ``i`` uses the first Philox4x64-10 block at counter
+``(1, 0, i, 0)`` under key ``(seed mod 2**64, seed >> 64)``; its words 0
+and 1, mapped as ``(x >> 11) * 2**-53``, are the two ``random()`` draws of
+``trial_rng(seed, i)``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -176,9 +186,17 @@ class RunTrace:
 def branch_weights(protocol: LoccProtocol, state: BipartiteState) -> np.ndarray:
     """Exact probabilities of every stage-1 branch (M0 last) on ``state``."""
     ops = [out.M for out in protocol.outcomes] + [protocol.M0]
-    return np.array(
-        [float(np.vdot(op @ state.amp, op @ state.amp).real) for op in ops]
-    )
+    return np.array([_norm_sq(op @ state.amp) for op in ops])
+
+
+def _norm_sq(amp: np.ndarray) -> float:
+    return float(np.vdot(amp, amp).real)
+
+
+def _check_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 1 << 128:
+        raise InvalidInputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    return int(seed)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -188,7 +206,55 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     index, so the result depends only on ``(seed, trial)`` and never on
     execution order.
     """
-    return np.random.Generator(np.random.Philox(key=seed).jumped(trial))
+    return np.random.Generator(np.random.Philox(key=_check_seed(seed)).jumped(trial))
+
+
+# Philox4x64-10 multipliers and key increments (Salmon et al., SC'11), as
+# numpy's Philox uses them.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_U64_MASK = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products ``m * x``.
+
+    numpy has no 64x64->128 multiply, so the high word is assembled from
+    the four 32-bit partial products; the low word is the wrapped product.
+    """
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
+    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LO32) + (lo_hi & _LO32)) >> _SHIFT32
+    hi = x_hi * m_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry
+    return hi, x * np.uint64(m)
+
+
+def _trial_uniforms(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and second ``random()`` draws of ``trial_rng(seed, i)``, i in [start, stop).
+
+    ``Philox(key=seed).jumped(i)`` starts at counter ``(0, 0, i, 0)`` and its
+    first draw increments the counter before enciphering, so trial ``i``'s
+    draws are words 0 and 1 of the block at counter ``(1, 0, i, 0)``.
+    """
+    n = stop - start
+    c0 = np.ones(n, dtype=np.uint64)
+    c1 = np.zeros(n, dtype=np.uint64)
+    c2 = np.arange(start, stop, dtype=np.uint64)
+    c3 = np.zeros(n, dtype=np.uint64)
+    k0, k1 = seed & _U64_MASK, seed >> 64
+    for r in range(_PHILOX_ROUNDS):
+        key0 = np.uint64((k0 + r * _PHILOX_W[0]) & _U64_MASK)
+        key1 = np.uint64((k1 + r * _PHILOX_W[1]) & _U64_MASK)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+    scale = 1.0 / 9007199254740992.0
+    return (c0 >> _SHIFT11) * scale, (c1 >> _SHIFT11) * scale
 
 
 def run_once(protocol: LoccProtocol, state: BipartiteState, rng: np.random.Generator) -> RunTrace:
@@ -251,6 +317,39 @@ def run_once(protocol: LoccProtocol, state: BipartiteState, rng: np.random.Gener
     )
 
 
+def _outcome_stats(
+    protocol: LoccProtocol, state: BipartiteState, target: BipartiteState, k: int
+) -> tuple[float, float]:
+    """Stage-2 success weight and success fidelity of stage-1 outcome ``k``.
+
+    Uses ``run_once``'s expressions and builds the states it builds on this
+    branch, so the same validation runs.  A deterministic branch always
+    succeeds (weight 1); a success state is built only if its weight is
+    positive, since otherwise no trial can succeed.
+    """
+    out = protocol.outcomes[k]
+    branch = out.M @ state.amp @ out.U.T
+    w = _norm_sq(branch)
+    inter = branch / math.sqrt(w)
+    s2 = protocol.stage2
+    if s2 is None:
+        return 1.0, fidelity(BipartiteState(inter), target)
+    success_amp = s2.N @ inter @ s2.V.T
+    w_succ = _norm_sq(success_amp)
+    fid = math.nan
+    if w_succ > 0:
+        fid = fidelity(BipartiteState(success_amp / math.sqrt(w_succ)), target)
+    fail_amp = s2.N_fail @ inter
+    w_fail = _norm_sq(fail_amp)
+    if w_fail > 1e-30:
+        BipartiteState(fail_amp / math.sqrt(w_fail))
+    return w_succ, fid
+
+
+#: Trials per batch in ``estimate``; bounds its memory, never changes its result.
+_CHUNK = 1 << 16
+
+
 class EstimateResult(NamedTuple):
     p_hat: float
     mean_success_fidelity: float
@@ -269,20 +368,50 @@ def estimate(
     Per-trial randomness is a pure function of ``(seed, trial index)``, so
     repeated calls (or any execution order over the trials) give bit-identical
     results.  ``mean_success_fidelity`` is NaN when no trial succeeded.
+
+    The result equals, bit for bit, a loop of ``run_once(protocol, a_state,
+    trial_rng(seed, i))`` over ``i < trials`` that counts the successes and
+    adds their fidelities to ``b_state`` in trial order.  The branch weights
+    are computed once from the operators, and each outcome some trial
+    selects gets its post-measurement state, stage-2 split and success
+    fidelity computed once, with ``run_once``'s expressions.  Trials run in
+    chunks of ``_CHUNK``, each drawing all its uniforms at once (see the
+    module docstring for the counter layout).
     """
+    seed = _check_seed(seed)
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise InvalidInputError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise InvalidInputError("trials must be at least 1")
+    trials = int(trials)
+
+    weights = branch_weights(protocol, a_state)
+    total = float(weights.sum())
+    cumulative = np.cumsum(weights)
+    completion = len(weights) - 1
+    # Per outcome, filled in when a trial first selects it.
+    w_succ = np.zeros(len(weights))
+    fid = np.zeros(len(weights))
+    seen = np.zeros(len(weights), dtype=bool)
+    seen[completion] = True
+
     successes = 0
     fid_sum = 0.0
-    for i in range(trials):
-        trace = run_once(protocol, a_state, trial_rng(seed, i))
-        succeeded = (
-            trace.outcome_index >= 0
-            and (trace.stage2_success is None or trace.stage2_success)
-        )
-        if succeeded:
-            successes += 1
-            fid_sum += fidelity(trace.final_state, b_state)
+    for start in range(0, trials, _CHUNK):
+        u1, u2 = _trial_uniforms(seed, start, min(start + _CHUNK, trials))
+        idx = np.minimum(np.searchsorted(cumulative, u1 * total), completion)
+        hit = np.zeros(len(weights), dtype=bool)
+        hit[idx] = True
+        for k in np.flatnonzero(hit & ~seen).tolist():
+            w_succ[k], fid[k] = _outcome_stats(protocol, a_state, b_state, k)
+            seen[k] = True
+        succeeded = idx < completion
+        if protocol.stage2 is not None:
+            succeeded &= u2 < w_succ[idx]
+        successes += int(np.count_nonzero(succeeded))
+        for f in fid[idx[succeeded]].tolist():
+            fid_sum += f
+
     p_hat = successes / trials
     mean_fid = fid_sum / successes if successes else float("nan")
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)

@@ -148,6 +148,17 @@ def test_simulate_command(state_files, tmp_path):
     assert json.loads(again.stdout) == doc
 
 
+def test_simulate_negative_seed_exits_2(state_files, tmp_path):
+    bell_path, skew_path = state_files
+    proto_path = tmp_path / "proto.json"
+    run_cli("synthesize", skew_path, bell_path, "--p", "0.4", "-o", str(proto_path))
+    proc = run_cli("simulate", str(proto_path), skew_path, bell_path, "--seed", "-1")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "invalid-input"
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_reduce_bob_command(state_files, tmp_path):
     bell_path, _ = state_files
     op_path = tmp_path / "op.json"

@@ -1,12 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
+from locc_forge import simulate
 from locc_forge.bipartite import fidelity, from_schmidt
 from locc_forge.errors import InvalidInputError
-from locc_forge.simulate import branch_weights, estimate, run_once, trial_rng, verify
+from locc_forge.simulate import (
+    EstimateResult,
+    branch_weights,
+    estimate,
+    run_once,
+    trial_rng,
+    verify,
+)
 from locc_forge.synth import StageOneOutcome, max_probability, synthesize
 
-from helpers import random_state
+from helpers import random_state, state_with_spectrum
 
 BELL = from_schmidt([0.5, 0.5], 2, 2)
 SKEW = from_schmidt([0.8, 0.2], 2, 2)
@@ -170,3 +180,105 @@ def test_estimate_rejects_zero_trials():
     proto = synthesize(BELL, SKEW)
     with pytest.raises(InvalidInputError):
         estimate(proto, BELL, SKEW, trials=0)
+
+
+def test_estimate_rejects_bad_seed_and_trials():
+    proto = synthesize(BELL, SKEW)
+    for seed in (-1, 2**128, 1.5, True, "3", None):
+        with pytest.raises(InvalidInputError):
+            estimate(proto, BELL, SKEW, trials=10, seed=seed)
+        with pytest.raises(InvalidInputError):
+            trial_rng(seed, 0)
+    for trials in (True, 2.5, "10", None):
+        with pytest.raises(InvalidInputError):
+            estimate(proto, BELL, SKEW, trials=trials)
+
+
+def test_estimate_accepts_numpy_integers():
+    proto = synthesize(SKEW, BELL, 0.4)
+    assert estimate(proto, SKEW, BELL, trials=np.int64(50), seed=np.uint64(3)) == estimate(
+        proto, SKEW, BELL, trials=50, seed=3
+    )
+
+
+# ---------------------------------------------------------------------------
+# batched estimate against the scalar reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 + 1, 2**128 - 1])
+def test_trial_uniforms_match_trial_rng(seed):
+    starts = (0, 2**40, 2**64 - 100)
+    sizes = (10_000, 100, 100)
+    for start, size in zip(starts, sizes):
+        u1, u2 = simulate._trial_uniforms(seed, start, start + size)
+        first = np.empty(size)
+        second = np.empty(size)
+        for j in range(size):
+            rng = trial_rng(seed, start + j)
+            first[j] = rng.random()
+            second[j] = rng.random()
+        assert np.array_equal(u1, first)
+        assert np.array_equal(u2, second)
+
+
+def _reference_estimate(protocol, a_state, b_state, trials, seed):
+    """Scalar reference: run_once per trial, fidelities summed in trial order."""
+    successes = 0
+    fid_sum = 0.0
+    for i in range(trials):
+        trace = run_once(protocol, a_state, trial_rng(seed, i))
+        succeeded = (
+            trace.outcome_index >= 0
+            and (trace.stage2_success is None or trace.stage2_success)
+        )
+        if succeeded:
+            successes += 1
+            fid_sum += fidelity(trace.final_state, b_state)
+    p_hat = successes / trials
+    mean_fid = fid_sum / successes if successes else float("nan")
+    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
+    return EstimateResult(p_hat=p_hat, mean_success_fidelity=mean_fid, stderr=stderr)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(63)
+    cases = {
+        "deterministic": (BELL, SKEW, 1.0),
+        "probabilistic": (SKEW, BELL, 0.4),
+    }
+    a = random_state(4, 4, rng)
+    b = random_state(4, 4, rng)
+    cases["probabilistic-d4"] = (a, b, max_probability(a, b) / 2)
+    a = state_with_spectrum(np.array([0.5, 0.3, 0.2]), 3, 5, rng)
+    b = state_with_spectrum(np.array([0.7, 0.2, 0.1]), 3, 5, rng)
+    cases["rectangular"] = (a, b, "max")
+    a = state_with_spectrum(np.array([0.7, 0.3, 0.0]), 3, 3, rng)
+    b = state_with_spectrum(np.array([0.5, 0.5, 0.0]), 3, 3, rng)
+    cases["rank-deficient"] = (a, b, "max")
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_estimate_matches_run_once_loop(name, monkeypatch):
+    a, b, p = REFERENCE_CASES[name]
+    proto = synthesize(a, b, p)
+    if name == "rank-deficient":
+        assert np.linalg.norm(proto.M0) > 0.5
+        assert proto.stage2 is not None
+    # With a 500-trial chunk, 501 trials (one chunk plus one) and 3000
+    # trials cross chunk boundaries without a 2**16 + 1 trial scalar loop.
+    monkeypatch.setattr(simulate, "_CHUNK", 500)
+    runs = [(t, s) for s in (0, 2**64 + 1) for t in (1, 7, 501)] + [(3000, 11)]
+    for trials, seed in runs:
+        expected = _reference_estimate(proto, a, b, trials, seed)
+        assert repr(estimate(proto, a, b, trials, seed)) == repr(expected), (trials, seed)
+
+
+def test_estimate_independent_of_chunk_size(monkeypatch):
+    proto = synthesize(SKEW, BELL, 0.4)
+    full = estimate(proto, SKEW, BELL, trials=1000, seed=8)
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    assert estimate(proto, SKEW, BELL, trials=1000, seed=8) == full
