@@ -74,13 +74,20 @@ def _read_json(path: str) -> dict:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _dims(value, where: str) -> tuple[int, int]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(type(n) is int and n > 0 for n in value)):
+        raise CliInputError(f"{where}: dims must be two positive integers, got {value!r}")
+    return value[0], value[1]
+
+
 def load_state(path: str, renormalize: bool = False) -> BipartiteState:
     doc = _read_json(path)
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise CliInputError(f"{path}: expected an object with a 'matrix' field")
     amp = matrix_from_json(doc["matrix"])
     if "dims" in doc:
-        dims = tuple(doc["dims"])
+        dims = _dims(doc["dims"], path)
         if dims != amp.shape:
             raise CliInputError(f"{path}: dims {dims} do not match matrix shape {amp.shape}")
     norm = float(np.linalg.norm(amp))
@@ -136,33 +143,42 @@ def protocol_to_dict(protocol: LoccProtocol) -> dict:
     }
 
 
+def _square(m: np.ndarray, n: int, name: str) -> np.ndarray:
+    if m.shape != (n, n):
+        raise CliInputError(f"malformed protocol file: {name} is {m.shape}, expected {(n, n)}")
+    return m
+
+
 def protocol_from_dict(doc: dict) -> LoccProtocol:
     try:
+        stage1 = doc["stage1"]
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise CliInputError("malformed protocol file: meta must be an object")
+        m0 = matrix_from_json(stage1["M0"])
+        da, db = _dims(meta.get("dims", m0.shape), "malformed protocol file")
         outcomes = tuple(
             StageOneOutcome(
                 q=float(o["q"]),
-                M=matrix_from_json(o["M"]),
-                U=matrix_from_json(o["U"]),
+                M=_square(matrix_from_json(o["M"]), da, "M"),
+                U=_square(matrix_from_json(o["U"]), db, "U"),
             )
-            for o in doc["stage1"]["outcomes"]
+            for o in stage1["outcomes"]
         )
-        m0 = matrix_from_json(doc["stage1"]["M0"])
         stage2 = None
         if doc.get("stage2") is not None:
             s2 = doc["stage2"]
             stage2 = StageTwo(
                 p=float(s2["p"]),
-                N=matrix_from_json(s2["N"]),
-                V=matrix_from_json(s2["V"]),
-                N_fail=matrix_from_json(s2["N_fail"]),
+                N=_square(matrix_from_json(s2["N"]), da, "N"),
+                V=_square(matrix_from_json(s2["V"]), db, "V"),
+                N_fail=_square(matrix_from_json(s2["N_fail"]), da, "N_fail"),
             )
-        meta = doc.get("meta", {})
-        dims = tuple(meta.get("dims", m0.shape))
         return LoccProtocol(
             outcomes=outcomes,
-            M0=m0,
+            M0=_square(m0, da, "M0"),
             stage2=stage2,
-            dims=(int(dims[0]), int(dims[1])),
+            dims=(da, db),
             p_total=float(meta.get("p_total", 1.0 if stage2 is None else stage2.p)),
             source_digest=meta.get("source_digest"),
             target_digest=meta.get("target_digest"),

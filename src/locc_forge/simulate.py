@@ -29,7 +29,7 @@ import numpy as np
 from .bipartite import BipartiteState, fidelity
 from .errors import InvalidInputError
 from .numkit import opnorm, unitarity_defect
-from .synth import LoccProtocol, _flow_matrix
+from .synth import LoccProtocol, _flow_balance
 
 
 @dataclass(frozen=True)
@@ -136,14 +136,7 @@ def verify(
         if inter is None:
             balance = float("inf")
         else:
-            flow = _flow_matrix(s2.N, inter, b_state)
-            spec_q = np.linalg.svd(inter.amp, compute_uv=False) ** 2
-            spec_b = np.linalg.svd(b_state.amp, compute_uv=False) ** 2
-            a_pad = np.zeros(da)
-            b_pad = np.zeros(da)
-            a_pad[: len(spec_q)] = spec_q
-            b_pad[: len(spec_b)] = spec_b
-            balance = float(np.max(np.abs(flow.T @ a_pad - s2.p * b_pad)))
+            flow, balance = _flow_balance(s2.N, inter, b_state, s2.p)
             balance = max(
                 balance,
                 max(0.0, float(np.max(flow.sum(axis=0))) - 1.0),

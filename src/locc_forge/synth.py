@@ -15,8 +15,9 @@ the explicit operators of a two-stage protocol:
 
 The intermediate spectrum comes from a closed-form witness of weak
 supermajorization; stage 1 is built from a Birkhoff decomposition of the
-bistochastic matrix linking the two entanglement spectra (Uhlmann mixing),
-pruned to the Caratheodory bound.
+bistochastic matrix linking the two entanglement spectra (Uhlmann mixing);
+greedy extraction already meets the Caratheodory bound.  Both stages are
+built from one Schmidt decomposition per state.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from .numkit import (
     as_matrix,
     hermitian_eigs,
     opnorm,
-    pinv,
-    psd_sqrt,
-    rect_diag,
     svd,
     transposition_unitary,
 )
@@ -146,6 +144,13 @@ def feasibility(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Fe
 # protocol building blocks
 # ---------------------------------------------------------------------------
 
+def _intermediate(b: np.ndarray, p: float) -> np.ndarray:
+    """``(p*b1 + (1-p), p*b2, ..., p*bd)`` for a non-increasing spectrum ``b``."""
+    v = p * b
+    v[0] += 1.0 - p
+    return v
+
+
 def intermediate_vector(a, b, p: float) -> np.ndarray:
     """Spectrum of the intermediate state splitting a probabilistic protocol.
 
@@ -166,9 +171,7 @@ def intermediate_vector(a, b, p: float) -> np.ndarray:
         raise InfeasibleError(
             f"requested probability {p} exceeds the maximum {p_max}", p_max=p_max
         )
-    v = p * bv
-    v[0] += 1.0 - p
-    return v
+    return _intermediate(bv, p)
 
 
 def uhlmann_decompose(c, d) -> list[tuple[float, np.ndarray]]:
@@ -192,38 +195,32 @@ def uhlmann_decompose(c, d) -> list[tuple[float, np.ndarray]]:
     e_d, u_d = hermitian_eigs(dm)
     if not majorize.compare(e_c, e_d, "maj"):
         raise InfeasibleError("eigenvalues(c) are not majorized by eigenvalues(d)")
-    terms, block = _mixing_terms(np.clip(e_c, 0.0, None), np.clip(e_d, 0.0, None))
-    n = cm.shape[0]
-    out = []
-    for w, perm in terms:
-        p_full = np.eye(n)
-        p_full[:block, :block] = majorize.BirkhoffDecomposition.permutation_matrix(perm)
-        out.append((w, u_c @ p_full @ u_d.conj().T))
-    return out
+    terms = _mixing_terms(np.clip(e_c, 0.0, None), np.clip(e_d, 0.0, None), cm.shape[0])
+    return [(w, u_c @ u_d[:, pi].conj().T) for w, pi in terms]
 
 
-def _support_size(x: np.ndarray, rank_rtol: float) -> int:
+def _support_size(x: np.ndarray) -> int:
     top = float(np.max(x)) if x.size else 0.0
     if top <= 0.0:
         return 1
-    return max(1, int(np.sum(x > (rank_rtol**2) * top)))
+    return max(1, int(np.sum(x > (DEFAULT_RANK_RTOL**2) * top)))
 
 
-def _mixing_terms(a: np.ndarray, q: np.ndarray, rank_rtol: float = DEFAULT_RANK_RTOL):
+def _mixing_terms(a: np.ndarray, q: np.ndarray, n: int) -> list[tuple[float, np.ndarray]]:
     """Birkhoff terms routing spectrum ``q`` onto spectrum ``a`` (``a < q``).
 
-    Works on the top block covering both spectral supports so the term count
-    obeys the Caratheodory bound for the *rank*, not the full dimension; the
-    returned permutations act on that block.
+    Works on the top block covering both spectral supports, so greedy
+    extraction already stays within the Caratheodory bound for the *rank*,
+    not the full dimension.  Each permutation ``pi`` acts on sorted indices,
+    ``(P q)[i] == q[pi[i]]``, and is extended by the identity to length ``n``.
     """
     a_s = np.sort(a)[::-1]
     q_s = np.sort(q)[::-1]
     a_s, q_s = majorize._pad_pair(a_s, q_s)
-    block = max(_support_size(a_s, rank_rtol), _support_size(q_s, rank_rtol))
+    block = max(_support_size(a_s), _support_size(q_s))
     link = majorize.bistochastic_link(a_s[:block], q_s[:block])
     dec = majorize.birkhoff(link, tol=1e-12)
-    dec = majorize.caratheodory_prune(dec, block)
-    return list(dec.terms), block
+    return [(w, np.concatenate([perm, np.arange(block, n)])) for w, perm in dec.terms]
 
 
 @dataclass(frozen=True)
@@ -259,11 +256,48 @@ class LoccProtocol:
     target_digest: str | None = None
 
 
+def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[list[StageOneOutcome], np.ndarray]:
+    """Stage-1 outcomes and ``M0`` from the Schmidt forms of A and Q.
+
+    In the Schmidt bases ``M = sqrt(w) Sigma_Q P Sigma_A^+`` and ``U*`` is a
+    permutation, so both are column gathers.  ``M0`` projects onto the left
+    Schmidt vectors of A whose coefficients are at or below the rank cutoff.
+    """
+    da, db = fa.left_basis.shape[0], fa.right_basis.shape[0]
+    r = fa.coeffs.size
+    keep = fa.coeffs > DEFAULT_RANK_RTOL * fa.coeffs[0]
+    inv_a = np.where(keep, 1.0 / np.where(keep, fa.coeffs, 1.0), 0.0)
+    x_a_adj = fa.left_basis[:, :r].conj().T
+    y_q_adj = fq.right_basis.conj().T
+    outcomes = []
+    for w, pi in _mixing_terms(fa.coeffs**2, fq.coeffs**2, db):
+        m = (fq.left_basis[:, pi[:r]] * (np.sqrt(w) * fq.coeffs[pi[:r]] * inv_a)) @ x_a_adj
+        u = (y_q_adj[:, pi] @ fa.right_basis).conj()
+        outcomes.append(StageOneOutcome(q=float(w), M=m, U=u))
+    null = np.ones(da, dtype=bool)
+    null[:r] = ~keep
+    x_null = fa.left_basis[:, null]
+    return outcomes, x_null @ x_null.conj().T
+
+
+def _stage_two(
+    fq: SchmidtForm, fb: SchmidtForm, p: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(N, V, N_fail)`` taking Q to B; N is diagonal in the left Schmidt bases,
+    so ``N_fail = X_Q diag(sqrt(1 - p sigma_B**2 / sigma_Q**2)) X_Q'``."""
+    r = fq.coeffs.size
+    keep = fq.coeffs > DEFAULT_RANK_RTOL * fq.coeffs[0]
+    ratio = np.where(keep, fb.coeffs / np.where(keep, fq.coeffs, 1.0), 0.0)
+    n = (fb.left_basis[:, :r] * (np.sqrt(p) * ratio)) @ fq.left_basis[:, :r].conj().T
+    fail = np.ones(fq.left_basis.shape[0])
+    fail[:r] = np.sqrt(np.clip(1.0 - p * ratio**2, 0.0, None))
+    n_fail = (fq.left_basis * fail) @ fq.left_basis.conj().T
+    v = (fq.right_basis.conj().T @ fb.right_basis).T
+    return n, v, n_fail
+
+
 def deterministic_stage(
-    a_state: BipartiteState,
-    q_state: BipartiteState,
-    rank_rtol: float = DEFAULT_RANK_RTOL,
-    null_terms=None,
+    a_state: BipartiteState, q_state: BipartiteState
 ) -> tuple[list[StageOneOutcome], np.ndarray]:
     """Complete measurement carrying ``|A>>`` onto ``|Q>>`` with certainty.
 
@@ -272,47 +306,18 @@ def deterministic_stage(
     projector onto the range of A; ``M0 = I - A A^+`` completes the
     measurement on the orthogonal complement, where the source state has no
     amplitude.
-
-    ``null_terms`` optionally supplies one extra operator per outcome acting
-    on that complement (added as ``T @ (I - A A^+)``); the default protocol
-    never populates it.
     """
     if a_state.dims != q_state.dims:
         raise InvalidInputError(f"dimension mismatch: {a_state.dims} vs {q_state.dims}")
-    da, db = a_state.dims
     fa = schmidt(a_state)
     fq = schmidt(q_state)
-    a = fa.coeffs**2
-    q = fq.coeffs**2
-    if not majorize.compare(a, q, "maj"):
+    if not majorize.compare(fa.coeffs**2, fq.coeffs**2, "maj"):
         raise InfeasibleError("spectrum(A) is not majorized by spectrum(Q)")
-
-    terms, block = _mixing_terms(a, q, rank_rtol)
-    a_pinv = pinv(a_state.amp, rank_rtol)
-    projector_defect = np.eye(da) - a_state.amp @ a_pinv
-
-    if null_terms is not None and len(null_terms) != len(terms):
-        raise InvalidInputError("null_terms must provide one operator per outcome")
-
-    outcomes = []
-    for idx, (w, perm) in enumerate(terms):
-        p_bob = np.eye(db)
-        p_bob[:block, :block] = majorize.BirkhoffDecomposition.permutation_matrix(perm).T
-        u_star = fq.right_basis.conj().T @ p_bob @ fa.right_basis
-        m = np.sqrt(w) * q_state.amp @ u_star @ a_pinv
-        if null_terms is not None:
-            m = m + as_matrix(null_terms[idx]) @ projector_defect
-        outcomes.append(StageOneOutcome(q=float(w), M=m, U=u_star.conj()))
-    return outcomes, projector_defect
+    return _stage_one(fa, fq)
 
 
 def final_contraction(
-    q_state: BipartiteState,
-    b_state: BipartiteState,
-    p: float,
-    rank_rtol: float = DEFAULT_RANK_RTOL,
-    schmidt_q: SchmidtForm | None = None,
-    schmidt_b: SchmidtForm | None = None,
+    q_state: BipartiteState, b_state: BipartiteState, p: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single filtering step mapping ``|Q>>`` to ``|B>>`` with weight ``p``.
 
@@ -326,31 +331,14 @@ def final_contraction(
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise InvalidInputError(f"p must lie in [0, 1], got {p}")
-    da, db = q_state.dims
-    fq = schmidt_q if schmidt_q is not None else schmidt(q_state)
-    fb = schmidt_b if schmidt_b is not None else schmidt(b_state)
-    v = fq.coeffs**2
-    b = fb.coeffs**2
-    if np.min(v - p * b) < -FEAS_ATOL:
+    fq = schmidt(q_state)
+    fb = schmidt(b_state)
+    if np.min(fq.coeffs**2 - p * fb.coeffs**2) < -FEAS_ATOL:
         raise InfeasibleError("spectrum(Q) does not dominate p * spectrum(B) componentwise")
-
-    top = fq.coeffs[0] if fq.coeffs.size else 0.0
-    keep = fq.coeffs > rank_rtol * top
-    inv_q = np.where(keep, 1.0 / np.where(keep, fq.coeffs, 1.0), 0.0)
-    sigma_b = rect_diag(fb.coeffs, da, db)
-    sigma_q_pinv = rect_diag(inv_q, db, da)
-    n = np.sqrt(p) * fb.left_basis @ sigma_b @ sigma_q_pinv @ fq.left_basis.conj().T
-    v_t = fq.right_basis.conj().T @ fb.right_basis
-    n_fail = psd_sqrt(np.eye(da) - n.conj().T @ n)
-    return n, v_t.T, n_fail
+    return _stage_two(fq, fb, p)
 
 
-def synthesize(
-    a_state: BipartiteState,
-    b_state: BipartiteState,
-    p="max",
-    rank_rtol: float = DEFAULT_RANK_RTOL,
-) -> LoccProtocol:
+def synthesize(a_state: BipartiteState, b_state: BipartiteState, p="max") -> LoccProtocol:
     """Build the full protocol transforming ``|A>>`` into ``|B>>`` at probability p.
 
     ``p`` may be a float or ``"max"``.  The intermediate state reuses the
@@ -361,7 +349,6 @@ def synthesize(
     """
     if a_state.dims != b_state.dims:
         raise InvalidInputError(f"dimension mismatch: {a_state.dims} vs {b_state.dims}")
-    da, db = a_state.dims
     p_max = max_probability(a_state, b_state)
     p_num = _resolve_p(p, p_max)
     if p_num > p_max + FEAS_ATOL:
@@ -370,31 +357,23 @@ def synthesize(
         )
     p_num = min(p_num, p_max)
 
-    if p_num >= 1.0 - FEAS_ATOL and majorize.compare(
-        squared_spectrum(a_state), squared_spectrum(b_state), "maj"
-    ):
-        outcomes, m0 = deterministic_stage(a_state, b_state, rank_rtol)
+    fa = schmidt(a_state)
+    fb = schmidt(b_state)
+    if p_num == 1.0:
+        outcomes, m0 = _stage_one(fa, fb)
         stage2 = None
-        p_total = 1.0
     else:
-        fb = schmidt(b_state)
-        v = intermediate_vector(squared_spectrum(a_state), fb.coeffs**2, p_num)
-        coeffs_q = np.sqrt(v)
-        q_state = BipartiteState(fb.left_basis @ rect_diag(coeffs_q, da, db) @ fb.right_basis)
+        coeffs_q = np.sqrt(_intermediate(fb.coeffs**2, p_num))
         fq = SchmidtForm(left_basis=fb.left_basis, coeffs=coeffs_q, right_basis=fb.right_basis)
-        outcomes, m0 = deterministic_stage(a_state, q_state, rank_rtol)
-        n, v_op, n_fail = final_contraction(
-            q_state, b_state, p_num, rank_rtol, schmidt_q=fq, schmidt_b=fb
-        )
-        stage2 = StageTwo(p=p_num, N=n, V=v_op, N_fail=n_fail)
-        p_total = p_num
+        outcomes, m0 = _stage_one(fa, fq)
+        stage2 = StageTwo(p_num, *_stage_two(fq, fb, p_num))
 
     return LoccProtocol(
         outcomes=tuple(outcomes),
         M0=m0,
         stage2=stage2,
-        dims=(da, db),
-        p_total=float(p_total),
+        dims=a_state.dims,
+        p_total=float(p_num),
         source_digest=a_state.digest,
         target_digest=b_state.digest,
     )
@@ -448,28 +427,28 @@ def substochastic_matrix(m, source: BipartiteState, target: BipartiteState, p: f
     """
     if source.dims != target.dims:
         raise InvalidInputError(f"dimension mismatch: {source.dims} vs {target.dims}")
-    s = _flow_matrix(m, source, target)
-    da = source.dims[0]
-    a_pad = np.zeros(da)
-    b_pad = np.zeros(da)
-    sa = squared_spectrum(source)
-    sb = squared_spectrum(target)
-    a_pad[: len(sa)] = sa
-    b_pad[: len(sb)] = sb
-    if np.max(np.abs(s.T @ a_pad - float(p) * b_pad)) > 1e-6:
+    s, balance = _flow_balance(m, source, target, p)
+    if balance > 1e-6:
         raise InvalidInputError(
             "operators do not realize a single-shot protocol at this probability"
         )
     return s
 
 
-def _flow_matrix(m, source: BipartiteState, target: BipartiteState) -> np.ndarray:
-    """|entries|^2 of the Alice operator conjugated into the Schmidt bases."""
+def _flow_balance(m, source: BipartiteState, target: BipartiteState, p: float):
+    """Outcome-flow matrix ``S`` of ``m`` (see :func:`substochastic_matrix`) and
+    ``max |S.T a - p b|`` for the source and target spectra padded to dim A."""
     mm = as_matrix(m)
     da = source.dims[0]
     if mm.shape != (da, da):
         raise InvalidInputError(f"operator shape {mm.shape} does not act on dim {da}")
     x_a = svd(source.amp).x
     x_b = svd(target.amp).x
-    mt = x_b.conj().T @ mm @ x_a
-    return (np.abs(mt) ** 2).T
+    s = (np.abs(x_b.conj().T @ mm @ x_a) ** 2).T
+    a_pad = np.zeros(da)
+    b_pad = np.zeros(da)
+    sa = squared_spectrum(source)
+    sb = squared_spectrum(target)
+    a_pad[: len(sa)] = sa
+    b_pad[: len(sb)] = sb
+    return s, float(np.max(np.abs(s.T @ a_pad - float(p) * b_pad)))

@@ -159,6 +159,39 @@ def test_simulate_negative_seed_exits_2(state_files, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, edit",
+    [
+        ("verify", lambda doc: doc["meta"].update(dims=[2])),
+        ("simulate", lambda doc: doc.update(meta=[])),
+        ("simulate", lambda doc: doc["stage1"].update(M0=[[[1.0, 0.0]]])),
+        ("verify", lambda doc: doc["stage1"].update(M0=[[[1.0, 0.0]]])),
+    ],
+    ids=["short-dims", "meta-list", "small-M0-simulate", "small-M0-verify"],
+)
+def test_malformed_protocol_exits_2(state_files, tmp_path, command, edit):
+    bell_path, skew_path = state_files
+    doc = protocol_to_dict(synthesize(SKEW, BELL, 0.4))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command, str(path), skew_path, bell_path)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "invalid-input"
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_state_dims_must_be_two_positive_ints(state_files, tmp_path):
+    bell_path, _ = state_files
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps({"dims": 5, "matrix": matrix_to_json(BELL.amp)}))
+    proc = run_cli("feasibility", str(path), bell_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_reduce_bob_command(state_files, tmp_path):
     bell_path, _ = state_files
     op_path = tmp_path / "op.json"

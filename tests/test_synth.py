@@ -436,15 +436,77 @@ def test_synthesize_m0_branch_is_silent():
 
 
 def test_synthesize_outcome_count_bound():
+    # Greedy Birkhoff extraction alone must stay within the bound: no
+    # pruning pass runs during synthesis.
     rng = np.random.default_rng(53)
-    for _ in range(20):
-        d = int(rng.integers(2, 7))
-        a_spec, b_spec = comparable_spectra(d, rng)
+    for i in range(90):
+        d = int(rng.integers(2, 11))
+        if i % 3 == 0:
+            a_spec, b_spec = comparable_spectra(d, rng)
+        elif i % 3 == 1:  # tied spectra, the target with zeros
+            a_w = rng.integers(1, 3, d).astype(float)
+            b_w = rng.integers(0, 3, d).astype(float)
+            b_w[0] += 1.0
+            a_spec = np.sort(a_w / a_w.sum())[::-1]
+            b_spec = np.sort(b_w / b_w.sum())[::-1]
+        else:  # rank-deficient source
+            r = int(rng.integers(1, d))
+            a_spec, b_spec = (
+                np.concatenate([x, np.zeros(d - r)]) for x in comparable_spectra(r, rng)
+            )
         a = state_with_spectrum(a_spec, d, d, rng)
         b = state_with_spectrum(b_spec, d, d, rng)
         proto = synthesize(a, b, "max")
         rank = schmidt_rank(a)
         assert len(proto.outcomes) <= (rank - 1) ** 2 + 1
+
+
+def seeded_pairs(seed, count):
+    """Square, rectangular and rank-deficient pairs; every third majorization-ordered."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        da, db = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        r = min(da, db)
+        if i % 3 == 0:
+            a_spec, b_spec = comparable_spectra(r, rng)
+            yield tuple(state_with_spectrum(x, da, db, rng) for x in (a_spec, b_spec))
+            continue
+        ra = int(rng.integers(1, r + 1)) if rng.random() < 0.4 else None
+        rb = int(rng.integers(1, r + 1)) if rng.random() < 0.4 else None
+        yield random_state(da, db, rng, rank=ra), random_state(da, db, rng, rank=rb)
+
+
+def test_synthesize_max_is_feasibility_pmax():
+    for a, b in seeded_pairs(58, 150):
+        assert synthesize(a, b, "max").p_total == feasibility(a, b).p_max
+
+
+def test_synthesize_operators_in_schmidt_frame():
+    # Stage-1 M is a scaled permutation and U* a permutation between the
+    # Schmidt bases, M0 the projector off the range of A, and stage-2
+    # N is diagonal between the left Schmidt bases of Q (= those of B) and B.
+    def pattern(t):
+        return np.abs(t) > 1e-9 * max(1.0, float(np.max(np.abs(t))))
+
+    for a, b in seeded_pairs(59, 150):
+        p = max_probability(a, b)
+        proto = synthesize(a, b, p / 2 if 0.0 < p < 1.0 else "max")
+        fa, fb = schmidt(a), schmidt(b)
+        for out in proto.outcomes:
+            nonzero = pattern(fb.left_basis.conj().T @ out.M @ fa.left_basis)
+            assert nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1
+            perm = fb.right_basis @ out.U.conj() @ fa.right_basis.conj().T
+            ones = np.round(perm.real)
+            assert np.max(np.abs(perm - ones)) <= 1e-10
+            assert np.isin(ones, (0.0, 1.0)).all()
+            assert (ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all()
+        m0 = proto.M0
+        assert np.max(np.abs(m0 - m0.conj().T)) <= 1e-14
+        assert opnorm(m0 @ m0 - m0) <= 1e-12
+        assert opnorm(m0 @ a.amp) <= 1e-12
+        if proto.stage2 is not None:
+            n_frame = fb.left_basis.conj().T @ proto.stage2.N @ fb.left_basis
+            assert np.max(np.abs(n_frame - np.diag(np.diagonal(n_frame)))) <= 1e-12
 
 
 def test_synthesize_stage2_satisfies_pure_necessity():
