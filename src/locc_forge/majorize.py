@@ -159,27 +159,42 @@ class BirkhoffDecomposition:
         return out
 
 
-def _perfect_matching(mask: np.ndarray) -> list[int] | None:
-    """Perfect matching on the bipartite graph ``mask`` (rows -> columns).
+def _perfect_matching(rows: list[int]) -> list[int] | None:
+    """Perfect matching on the bipartite graph with row supports ``rows``.
 
-    Classic augmenting-path search; returns ``perm`` with ``perm[i]`` the
-    column matched to row ``i``, or None if no perfect matching exists.
+    ``rows[i]`` is a bitset whose bit ``c`` is set iff row ``i`` may take
+    column ``c``.  Kuhn's augmenting-path search: rows are matched in order
+    0..d-1, and the depth-first search from each one tries a row's unseen
+    columns in ascending order (the lowest set bit of ``rows[row] & ~seen``).
+    The search path lives on an explicit stack, so paths as long as ``d``
+    need no recursion.  Returns ``perm`` with ``perm[i]`` the column matched
+    to row ``i``, or None if no perfect matching exists.
     """
-    d = mask.shape[0]
+    d = len(rows)
     col_owner = [-1] * d
-
-    def augment(row: int, seen: list[bool]) -> bool:
-        for col in range(d):
-            if mask[row, col] and not seen[col]:
-                seen[col] = True
-                if col_owner[col] < 0 or augment(col_owner[col], seen):
-                    col_owner[col] = row
-                    return True
-        return False
-
-    for row in range(d):
-        if not augment(row, [False] * d):
-            return None
+    for root in range(d):
+        seen = 0
+        row = root
+        path: list[tuple[int, int]] = []  # (row, column) edges from the root
+        while True:
+            free = rows[row] & ~seen
+            if not free:
+                # Dead end: back up to the previous row and try its next column.
+                if not path:
+                    return None
+                row = path.pop()[0]
+                continue
+            bit = free & -free
+            seen |= bit
+            col = bit.bit_length() - 1
+            path.append((row, col))
+            owner = col_owner[col]
+            if owner < 0:
+                # Augment: every row on the path takes the column it picked.
+                for r, c in path:
+                    col_owner[c] = r
+                break
+            row = owner
     perm = [-1] * d
     for col, row in enumerate(col_owner):
         perm[row] = col
@@ -194,19 +209,32 @@ def birkhoff(d_matrix, tol: float = 1e-12) -> BirkhoffDecomposition:
     least one entry per round) and stops once the remaining mass per row is
     negligible.  Weights are renormalized to sum to one exactly.
 
-    Raises :class:`NumericalDegeneracyError` when no perfect matching exists
-    on the positive support, which signals that ``tol`` is too small for the
+    The support is kept as one bitset per row; a round updates only the
+    ``d`` matched entries and clears the bits of those that fell to ``tol``
+    or below, so the bits always equal ``remaining > tol``.  Each round's
+    matching is searched from scratch, never warm-started from the previous
+    round, so the permutations, their order and their weights are exactly
+    those of a search on a freshly built ``remaining > tol`` mask.
+
+    Raises :class:`InvalidInputError` for an empty, non-square, complex,
+    non-finite, negative or non-bistochastic input, and
+    :class:`NumericalDegeneracyError` when no perfect matching exists on the
+    positive support, which signals that ``tol`` is too small for the
     input's noise level.
     """
     m = np.asarray(d_matrix)
+    if m.size == 0:
+        raise InvalidInputError("bistochastic matrix is empty")
     if np.iscomplexobj(m):
-        if np.max(np.abs(m.imag)) > 1e-10:
+        if not np.all(np.abs(m.imag) <= 1e-10):
             raise InvalidInputError("bistochastic matrix must be real")
         m = m.real
     m = m.astype(float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError("bistochastic matrix must be square")
     d = m.shape[0]
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError("bistochastic matrix has non-finite entries")
     if np.min(m) < -max(tol, NEG_TOL):
         raise InvalidInputError("bistochastic matrix has negative entries")
     sums = np.concatenate([m.sum(axis=0), m.sum(axis=1)])
@@ -214,21 +242,29 @@ def birkhoff(d_matrix, tol: float = 1e-12) -> BirkhoffDecomposition:
         raise InvalidInputError("row/column sums differ from 1 beyond tolerance")
 
     remaining = np.clip(m, 0.0, None)
+    # Row supports as bitsets: bit c of rows[i] is set iff remaining[i, c] > tol.
+    packed = np.packbits(remaining > tol, axis=1, bitorder="little")
+    rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
+    ar = np.arange(d)
     collected: dict[tuple[int, ...], float] = {}
     total = 0.0
     for _ in range(d * d + 1):
-        if 1.0 - total <= d * tol or np.max(remaining) <= tol:
+        # Every bitset is 0 exactly when no entry of ``remaining`` exceeds tol.
+        if 1.0 - total <= d * tol or not any(rows):
             break
-        perm = _perfect_matching(remaining > tol)
+        perm = _perfect_matching(rows)
         if perm is None:
             raise NumericalDegeneracyError(
                 "no perfect matching on the positive support; tol is too small"
             )
-        w = float(np.min(remaining[np.arange(d), perm]))
+        vals = remaining[ar, perm]
+        w = float(np.min(vals))
         key = tuple(perm)
         collected[key] = collected.get(key, 0.0) + w
-        remaining[np.arange(d), perm] -= w
-        np.clip(remaining, 0.0, None, out=remaining)
+        vals = np.clip(vals - w, 0.0, None)
+        remaining[ar, perm] = vals
+        for i in np.flatnonzero(vals <= tol).tolist():
+            rows[i] &= ~(1 << perm[i])
         total += w
     else:
         raise NumericalDegeneracyError("Birkhoff extraction failed to terminate")

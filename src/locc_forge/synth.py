@@ -442,13 +442,11 @@ def _flow_balance(m, source: BipartiteState, target: BipartiteState, p: float):
     da = source.dims[0]
     if mm.shape != (da, da):
         raise InvalidInputError(f"operator shape {mm.shape} does not act on dim {da}")
-    x_a = svd(source.amp).x
-    x_b = svd(target.amp).x
-    s = (np.abs(x_b.conj().T @ mm @ x_a) ** 2).T
+    t_a = svd(source.amp)
+    t_b = svd(target.amp)
+    s = (np.abs(t_b.x.conj().T @ mm @ t_a.x) ** 2).T
     a_pad = np.zeros(da)
     b_pad = np.zeros(da)
-    sa = squared_spectrum(source)
-    sb = squared_spectrum(target)
-    a_pad[: len(sa)] = sa
-    b_pad[: len(sb)] = sb
+    a_pad[: t_a.sigma.size] = t_a.sigma**2
+    b_pad[: t_b.sigma.size] = t_b.sigma**2
     return s, float(np.max(np.abs(s.T @ a_pad - float(p) * b_pad)))

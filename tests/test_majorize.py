@@ -163,6 +163,111 @@ def test_birkhoff_rejects_non_bistochastic():
         birkhoff(np.array([[0.9, 0.0], [0.0, 0.9]]))
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[0.5, np.nan], [0.5, 0.5]]),
+        np.array([[np.inf, 0.5], [0.5, 0.5]]),
+        np.array([[-np.inf, 0.5], [0.5, 0.5]]),
+        np.array([[complex(0.5, np.nan), 0.5], [0.5, 0.5]]),
+        np.zeros((0, 0)),
+    ],
+    ids=["nan", "inf", "-inf", "nan-imag", "0x0"],
+)
+def test_birkhoff_rejects_non_finite_and_empty(matrix):
+    with pytest.raises(InvalidInputError):
+        birkhoff(matrix)
+
+
+def test_birkhoff_deep_augmenting_path():
+    # Row d-1 can only take column 0 by shifting every other row one column
+    # right: a single augmenting path through all d rows.
+    d = 1500
+    mat = 0.5 * (np.eye(d) + np.roll(np.eye(d), 1, axis=1))
+    dec = birkhoff(mat)
+    assert len(dec.terms) == 2
+    assert all(w == 0.5 for w, _ in dec.terms)
+    assert np.abs(dec.reconstruct() - mat).max() <= 1e-12
+
+
+def _reference_matching(mask):
+    """Recursive augmenting-path matching on a boolean mask, searched from scratch."""
+    d = mask.shape[0]
+    col_owner = [-1] * d
+
+    def augment(row, seen):
+        for col in range(d):
+            if mask[row, col] and not seen[col]:
+                seen[col] = True
+                if col_owner[col] < 0 or augment(col_owner[col], seen):
+                    col_owner[col] = row
+                    return True
+        return False
+
+    for row in range(d):
+        if not augment(row, [False] * d):
+            return None
+    perm = [-1] * d
+    for col, row in enumerate(col_owner):
+        perm[row] = col
+    return perm
+
+
+def _reference_terms(m, tol):
+    """Greedy extraction rebuilding the ``remaining > tol`` mask every round."""
+    d = m.shape[0]
+    remaining = np.clip(m, 0.0, None)
+    collected = {}
+    total = 0.0
+    for _ in range(d * d + 1):
+        if 1.0 - total <= d * tol or np.max(remaining) <= tol:
+            break
+        perm = _reference_matching(remaining > tol)
+        w = float(np.min(remaining[np.arange(d), perm]))
+        key = tuple(perm)
+        collected[key] = collected.get(key, 0.0) + w
+        remaining[np.arange(d), perm] -= w
+        np.clip(remaining, 0.0, None, out=remaining)
+        total += w
+    return tuple((w / total, perm) for perm, w in collected.items())
+
+
+def _link_spectrum(kind, d, rng):
+    """Sorted spectra ``(a, q)`` with ``a < q``; ``kind`` picks the family of q."""
+    if kind == "dense":
+        q = rng.dirichlet(np.ones(d))
+    elif kind == "sparse":
+        q = rng.dirichlet(0.1 * np.ones(d))
+    elif kind == "tied":
+        q = rng.integers(1, 4, d).astype(float)
+    else:  # rank-dropping: zeros below a random rank
+        r = int(rng.integers(1, d + 1))
+        q = np.concatenate([rng.dirichlet(np.ones(r)), np.zeros(d - r)])
+    q = np.sort(q / q.sum())[::-1]
+    if kind == "tied":
+        a = 0.5 * (q + q[rng.permutation(d)])
+    else:
+        a = sum(w * q[rng.permutation(d)] for w in rng.dirichlet(np.ones(3)))
+    return np.sort(a)[::-1], q
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "tied", "rank-drop"])
+def test_birkhoff_terms_equal_from_scratch_reference(kind):
+    rng = np.random.default_rng({"dense": 31, "sparse": 32, "tied": 33, "rank-drop": 34}[kind])
+    for d in (2, 3, 4, 5, 6, 8, 11, 16, 23, 32, 48):
+        a, q = _link_spectrum(kind, d, rng)
+        link = bistochastic_link(a, q)
+        assert birkhoff(link, tol=1e-12).terms == _reference_terms(link, 1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_birkhoff_terms_equal_reference_on_random_bistochastic(tol):
+    rng = np.random.default_rng(35)
+    for d in (2, 3, 5, 8, 13, 21):
+        mat = random_bistochastic(d, rng)
+        assert birkhoff(mat, tol=tol).terms == _reference_terms(mat, tol)
+
+
 # ---------------------------------------------------------------------------
 # caratheodory_prune
 # ---------------------------------------------------------------------------
