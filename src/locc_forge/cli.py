@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -61,7 +62,10 @@ def matrix_from_json(obj) -> np.ndarray:
         raise CliInputError(f"malformed matrix entry: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise CliInputError("matrix rows are empty or ragged")
-    return np.array(rows, dtype=complex)
+    m = np.array(rows, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise CliInputError("matrix contains non-finite entries")
+    return m
 
 
 def _read_json(path: str) -> dict:
@@ -149,6 +153,13 @@ def _square(m: np.ndarray, n: int, name: str) -> np.ndarray:
     return m
 
 
+def _weight(value, name: str) -> float:
+    w = float(value)
+    if not 0.0 <= w <= 1.0:
+        raise CliInputError(f"malformed protocol file: {name} must be in [0, 1], got {w!r}")
+    return w
+
+
 def protocol_from_dict(doc: dict) -> LoccProtocol:
     try:
         stage1 = doc["stage1"]
@@ -159,7 +170,7 @@ def protocol_from_dict(doc: dict) -> LoccProtocol:
         da, db = _dims(meta.get("dims", m0.shape), "malformed protocol file")
         outcomes = tuple(
             StageOneOutcome(
-                q=float(o["q"]),
+                q=_weight(o["q"], "q"),
                 M=_square(matrix_from_json(o["M"]), da, "M"),
                 U=_square(matrix_from_json(o["U"]), db, "U"),
             )
@@ -169,7 +180,7 @@ def protocol_from_dict(doc: dict) -> LoccProtocol:
         if doc.get("stage2") is not None:
             s2 = doc["stage2"]
             stage2 = StageTwo(
-                p=float(s2["p"]),
+                p=_weight(s2["p"], "p"),
                 N=_square(matrix_from_json(s2["N"]), da, "N"),
                 V=_square(matrix_from_json(s2["V"]), db, "V"),
                 N_fail=_square(matrix_from_json(s2["N_fail"]), da, "N_fail"),
@@ -179,7 +190,7 @@ def protocol_from_dict(doc: dict) -> LoccProtocol:
             M0=_square(m0, da, "M0"),
             stage2=stage2,
             dims=(da, db),
-            p_total=float(meta.get("p_total", 1.0 if stage2 is None else stage2.p)),
+            p_total=_weight(meta.get("p_total", 1.0 if stage2 is None else stage2.p), "p_total"),
             source_digest=meta.get("source_digest"),
             target_digest=meta.get("target_digest"),
         )
@@ -247,6 +258,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    tol = _tol(args.tol)
     protocol = load_protocol(args.protocol)
     a = load_state(args.source, args.renormalize)
     b = load_state(args.target, args.renormalize)
@@ -256,10 +268,10 @@ def cmd_verify(args) -> int:
     ):
         if digest and digest != state.digest:
             print(f"note: {name} state digest differs from the protocol meta", file=sys.stderr)
-    report = verify(protocol, a, b, tol=args.tol)
+    report = verify(protocol, a, b, tol=tol)
     _emit(report.as_dict(), args.output)
     print(
-        f"max residual {report.max_residual:.3e} vs tol {args.tol:.3e}: "
+        f"max residual {report.max_residual:.3e} vs tol {tol:.3e}: "
         f"{'PASS' if report.passed else 'FAIL'}",
         file=sys.stderr,
     )
@@ -307,8 +319,17 @@ def cmd_reduce_bob(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _default_tol() -> float:
-    return float(os.environ.get("LOCC_FORGE_TOL", "1e-9"))
+def _tol(flag: float | None) -> float:
+    """``--tol`` if given, else ``LOCC_FORGE_TOL``, else 1e-9; finite and non-negative."""
+    raw = os.environ.get("LOCC_FORGE_TOL", "1e-9") if flag is None else flag
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        source = "LOCC_FORGE_TOL" if flag is None else "--tol"
+        raise CliInputError(f"{source} must be a finite, non-negative float, got {raw!r}")
+    return tol
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -352,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol",
         type=float,
-        default=_default_tol(),
         help="residual tolerance (default 1e-9, or LOCC_FORGE_TOL)",
     )
     _add_common(p)

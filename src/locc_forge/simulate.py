@@ -1,11 +1,15 @@
 """Protocol verification and seeded Monte Carlo execution.
 
 ``verify`` recomputes every defining identity of a synthesized protocol and
-reports the residuals; ``run_once``/``estimate`` execute the protocol as a
-sampled measurement with classical communication.  Outcome probabilities are
-always recomputed from the operators acting on the state (never taken from
-the nominal stage-1 weights), so simulation independently cross-checks the
-synthesis formulas.
+reports the residuals.  It takes every operator norm from the Hermitian
+eigenvalues of a Gram matrix (or of a defect that is Hermitian already)
+rather than from an SVD, and works on the stage-1 outcomes stacked in chunks
+of ``_VERIFY_CHUNK``, which bound its memory.
+
+``run_once``/``estimate`` execute the protocol as a sampled measurement with
+classical communication.  Outcome probabilities are always recomputed from
+the operators acting on the state (never taken from the nominal stage-1
+weights), so simulation independently cross-checks the synthesis formulas.
 
 ``run_once`` with ``trial_rng`` is the scalar reference: one trial, one
 generator.  ``estimate`` returns what a loop of ``run_once`` over trials
@@ -28,7 +32,6 @@ import numpy as np
 
 from .bipartite import BipartiteState, fidelity
 from .errors import InvalidInputError
-from .numkit import opnorm, unitarity_defect
 from .synth import LoccProtocol, _flow_balance
 
 
@@ -83,6 +86,32 @@ class VerificationReport:
         }
 
 
+#: Outcomes per batch in ``verify``; bounds its memory, never changes its report.
+_VERIFY_CHUNK = 32
+
+
+def _hermitian_norms(h: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of Hermitian matrices: each one's largest |eigenvalue|."""
+    e = np.linalg.eigvalsh(h)
+    return np.maximum(-e[..., 0], e[..., -1])
+
+
+def _opnorms(m: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of matrices, from the eigenvalues of the smaller Gram."""
+    adj = np.conj(np.swapaxes(m, -1, -2))
+    return np.sqrt(_hermitian_norms(m @ adj if m.shape[-2] <= m.shape[-1] else adj @ m))
+
+
+def _outcome_chunks(outcomes, amp: np.ndarray):
+    """``(start, M, U, sqrt(q), M amp U.T)`` stacked over successive chunks of outcomes."""
+    for start in range(0, len(outcomes), _VERIFY_CHUNK):
+        chunk = outcomes[start:start + _VERIFY_CHUNK]
+        m = np.array([out.M for out in chunk])
+        u = np.array([out.U for out in chunk])
+        root_q = np.array([math.sqrt(out.q) for out in chunk])
+        yield start, m, u, root_q, m @ amp @ np.swapaxes(u, 1, 2)
+
+
 def verify(
     protocol: LoccProtocol,
     a_state: BipartiteState,
@@ -95,41 +124,58 @@ def verify(
     the weighted average of the stage-1 branch outputs, so a corrupted
     operator shows up either in the branch residuals, in completeness, or in
     the stage-2 map residual.
+
+    Every operator norm is the largest |eigenvalue| of a Hermitian matrix:
+    ``||X||`` is the square root of the top eigenvalue of the smaller Gram
+    matrix ``X X'`` or ``X'X``, and the completeness and unitarity defects
+    are Hermitian already.  Outcomes are stacked ``_VERIFY_CHUNK`` at a time,
+    which bounds the memory; a stage-2 protocol sums its intermediate state
+    in a first sweep and recomputes the branches in the second, so no list of
+    K dense branches is kept.
     """
     da, db = protocol.dims
     if a_state.dims != (da, db) or b_state.dims != (da, db):
         raise InvalidInputError("state dimensions do not match the protocol")
 
-    ident_a = np.eye(da)
-    acc = protocol.M0.conj().T @ protocol.M0
-    for out in protocol.outcomes:
-        acc = acc + out.M.conj().T @ out.M
-    completeness = opnorm(acc - ident_a)
-
-    branches = [out.M @ a_state.amp @ out.U.T for out in protocol.outcomes]
-    if protocol.stage2 is None:
+    s2 = protocol.stage2
+    if s2 is None:
         target = b_state.amp
     else:
-        target = sum(math.sqrt(out.q) * br for out, br in zip(protocol.outcomes, branches))
-    per_outcome = tuple(
-        opnorm(br - math.sqrt(out.q) * target)
-        for out, br in zip(protocol.outcomes, branches)
-    )
+        target = np.zeros((da, db), dtype=complex)
+        for _, _, _, root_q, branches in _outcome_chunks(protocol.outcomes, a_state.amp):
+            for r, branch in zip(root_q, branches):  # in outcome order, whatever the chunks
+                target += r * branch
 
-    unitarity = [unitarity_defect(out.U) for out in protocol.outcomes]
-    norms = [max(0.0, opnorm(out.M) - 1.0) for out in protocol.outcomes]
-    norms.append(max(0.0, opnorm(protocol.M0) - 1.0))
+    k = len(protocol.outcomes)
+    per_outcome, u_defects, m_norms = np.empty(k), np.empty(k), np.empty(k)
+    ident_a, ident_b = np.eye(da), np.eye(db)
+    acc = np.array(protocol.M0.conj().T @ protocol.M0, dtype=complex)
+    m0_norm = float(np.sqrt(_hermitian_norms(acc)))
+    for start, m, u, root_q, branches in _outcome_chunks(protocol.outcomes, a_state.amp):
+        gram = np.conj(np.swapaxes(m, 1, 2)) @ m
+        for g in gram:  # in outcome order, whatever the chunks
+            acc += g
+        stop = start + len(m)
+        m_norms[start:stop] = np.sqrt(_hermitian_norms(gram))
+        u_defects[start:stop] = _hermitian_norms(np.conj(np.swapaxes(u, 1, 2)) @ u - ident_b)
+        per_outcome[start:stop] = _opnorms(branches - root_q[:, None, None] * target)
+    completeness = _hermitian_norms(acc - ident_a)
 
-    if protocol.stage2 is None:
+    unitarity = u_defects.tolist()
+    norms = np.maximum(m_norms - 1.0, 0.0).tolist()
+    norms.append(max(0.0, m0_norm - 1.0))
+
+    if s2 is None:
         stage2_residual = 0.0
         balance = 0.0
     else:
-        s2 = protocol.stage2
-        unitarity.append(unitarity_defect(s2.V))
-        norms.append(max(0.0, opnorm(s2.N) - 1.0))
-        map_defect = opnorm(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp)
-        completion = opnorm(s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - ident_a)
-        stage2_residual = max(map_defect, completion)
+        unitarity.append(float(_hermitian_norms(s2.V.conj().T @ s2.V - ident_b)))
+        norms.append(max(0.0, float(_opnorms(s2.N)) - 1.0))
+        map_defect = _opnorms(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp)
+        completion = _hermitian_norms(
+            s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - ident_a
+        )
+        stage2_residual = max(float(map_defect), float(completion))
 
         norm_t = float(np.linalg.norm(target))
         inter = BipartiteState(target / norm_t) if norm_t > 0 else None
@@ -145,7 +191,7 @@ def verify(
 
     report = VerificationReport(
         completeness_residual=float(completeness),
-        per_outcome_residuals=per_outcome,
+        per_outcome_residuals=tuple(per_outcome.tolist()),
         stage2_residual=float(stage2_residual),
         unitarity_residuals=tuple(unitarity),
         norm_bounds=tuple(norms),

@@ -166,8 +166,17 @@ def test_simulate_negative_seed_exits_2(state_files, tmp_path):
         ("simulate", lambda doc: doc.update(meta=[])),
         ("simulate", lambda doc: doc["stage1"].update(M0=[[[1.0, 0.0]]])),
         ("verify", lambda doc: doc["stage1"].update(M0=[[[1.0, 0.0]]])),
+        ("verify", lambda doc: doc["stage1"]["outcomes"][0].update(q=-0.5)),
+        ("verify", lambda doc: doc["stage1"]["outcomes"][0].update(q=float("nan"))),
+        ("verify", lambda doc: doc["stage1"]["outcomes"][0].update(q=1.5)),
+        ("verify", lambda doc: doc["stage2"].update(p=-0.1)),
+        ("verify", lambda doc: doc["meta"].update(p_total=float("inf"))),
+        ("simulate", lambda doc: doc["stage1"]["outcomes"][0].update(q=-0.5)),
+        ("verify", lambda doc: doc["stage1"]["outcomes"][0]["M"][0][0].__setitem__(0, float("nan"))),
     ],
-    ids=["short-dims", "meta-list", "small-M0-simulate", "small-M0-verify"],
+    ids=["short-dims", "meta-list", "small-M0-simulate", "small-M0-verify",
+         "negative-q", "nan-q", "q-above-1", "negative-p", "inf-p_total",
+         "negative-q-simulate", "nan-M-entry"],
 )
 def test_malformed_protocol_exits_2(state_files, tmp_path, command, edit):
     bell_path, skew_path = state_files
@@ -243,3 +252,40 @@ def test_tol_env_override(state_files, tmp_path, monkeypatch):
         env=env,
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "env_tol, args",
+    [("abc", ()), ("inf", ()), ("-1e-9", ()), (None, ("--tol", "nan")), (None, ("--tol", "-1"))],
+    ids=["env-abc", "env-inf", "env-negative", "flag-nan", "flag-negative"],
+)
+def test_bad_tolerance_exits_2(state_files, tmp_path, env_tol, args):
+    import os
+
+    bell_path, skew_path = state_files
+    proto_path = tmp_path / "proto.json"
+    proto_path.write_text(json.dumps(protocol_to_dict(synthesize(SKEW, BELL, 0.4))))
+    env = dict(os.environ)
+    env.pop("LOCC_FORGE_TOL", None)
+    if env_tol is not None:
+        env["LOCC_FORGE_TOL"] = env_tol
+    proc = subprocess.run(
+        [sys.executable, "-m", "locc_forge", "verify", str(proto_path), skew_path, bell_path,
+         *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "invalid-input"
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    if env_tol is not None:
+        # Only verify reads the tolerance; other subcommands ignore it.
+        proc = subprocess.run(
+            [sys.executable, "-m", "locc_forge", "feasibility", bell_path, skew_path],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,15 +9,16 @@ from locc_forge.bipartite import fidelity, from_schmidt
 from locc_forge.errors import InvalidInputError
 from locc_forge.simulate import (
     EstimateResult,
+    VerificationReport,
     branch_weights,
     estimate,
     run_once,
     trial_rng,
     verify,
 )
-from locc_forge.synth import StageOneOutcome, max_probability, synthesize
+from locc_forge.synth import StageOneOutcome, _flow_balance, max_probability, synthesize
 
-from helpers import random_state, state_with_spectrum
+from helpers import comparable_spectra, random_state, state_with_spectrum
 
 BELL = from_schmidt([0.5, 0.5], 2, 2)
 SKEW = from_schmidt([0.8, 0.2], 2, 2)
@@ -84,6 +86,177 @@ def test_verify_report_fields_finite():
     for key, value in d.items():
         if isinstance(value, float):
             assert np.isfinite(value), key
+
+
+# ---------------------------------------------------------------------------
+# verify against a per-outcome SVD reference
+# ---------------------------------------------------------------------------
+
+def _svd_norm(m):
+    return float(np.linalg.norm(m, 2))
+
+
+def _reference_verify(protocol, a_state, b_state, tol=1e-9):
+    """Per-outcome reference: every operator norm from its own SVD."""
+    da, db = protocol.dims
+    ident_a = np.eye(da)
+    acc = protocol.M0.conj().T @ protocol.M0
+    for out in protocol.outcomes:
+        acc = acc + out.M.conj().T @ out.M
+    completeness = _svd_norm(acc - ident_a)
+
+    branches = [out.M @ a_state.amp @ out.U.T for out in protocol.outcomes]
+    if protocol.stage2 is None:
+        target = b_state.amp
+    else:
+        target = sum(math.sqrt(out.q) * br for out, br in zip(protocol.outcomes, branches))
+    per_outcome = tuple(
+        _svd_norm(br - math.sqrt(out.q) * target) for out, br in zip(protocol.outcomes, branches)
+    )
+    unitarity = [_svd_norm(out.U.conj().T @ out.U - np.eye(db)) for out in protocol.outcomes]
+    norms = [max(0.0, _svd_norm(out.M) - 1.0) for out in protocol.outcomes]
+    norms.append(max(0.0, _svd_norm(protocol.M0) - 1.0))
+
+    stage2_residual = balance = 0.0
+    if protocol.stage2 is not None:
+        s2 = protocol.stage2
+        unitarity.append(_svd_norm(s2.V.conj().T @ s2.V - np.eye(db)))
+        norms.append(max(0.0, _svd_norm(s2.N) - 1.0))
+        map_defect = _svd_norm(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp)
+        completion = _svd_norm(s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - ident_a)
+        stage2_residual = max(map_defect, completion)
+        norm_t = float(np.linalg.norm(target))
+        if norm_t > 0:
+            inter = type(a_state)(target / norm_t)
+            flow, balance = _flow_balance(s2.N, inter, b_state, s2.p)
+            balance = max(
+                balance,
+                max(0.0, float(np.max(flow.sum(axis=0))) - 1.0),
+                max(0.0, float(np.max(flow.sum(axis=1))) - 1.0),
+            )
+        else:
+            balance = float("inf")
+
+    report = VerificationReport(
+        completeness_residual=completeness,
+        per_outcome_residuals=per_outcome,
+        stage2_residual=stage2_residual,
+        unitarity_residuals=tuple(unitarity),
+        norm_bounds=tuple(norms),
+        substochastic_balance_residual=balance,
+        tol=tol,
+        passed=False,
+    )
+    return dataclasses.replace(report, passed=bool(report.max_residual <= tol))
+
+
+def _assert_matches_reference(protocol, a_state, b_state):
+    report = verify(protocol, a_state, b_state)
+    ref = _reference_verify(protocol, a_state, b_state)
+    assert report.passed == ref.passed
+    assert report.tol == ref.tol
+    for field in dataclasses.fields(VerificationReport):
+        got, want = getattr(report, field.name), getattr(ref, field.name)
+        got, want = np.atleast_1d(got).astype(float), np.atleast_1d(want).astype(float)
+        assert got.shape == want.shape, field.name
+        assert np.all(np.abs(got - want) <= 1e-13 + 1e-12 * np.abs(want)), field.name
+    return report
+
+
+def _corrupted(protocol, how):
+    outcomes = list(protocol.outcomes)
+    first = outcomes[0]
+    if how == "M-scaled":
+        outcomes[0] = dataclasses.replace(first, M=1.5 * first.M)
+    elif how == "U-nudged":
+        u = first.U.copy()
+        u[0, 0] += 1e-6
+        outcomes[0] = dataclasses.replace(first, U=u)
+    else:
+        outcomes[0] = dataclasses.replace(first, U=outcomes[1].U)
+        outcomes[1] = dataclasses.replace(outcomes[1], U=first.U)
+    return dataclasses.replace(protocol, outcomes=tuple(outcomes))
+
+
+def _verify_cases():
+    rng = np.random.default_rng(64)
+    cases = {}
+    for name, (da, db) in {"square": (5, 5), "wide": (3, 5), "tall": (5, 3)}.items():
+        a, b = comparable_spectra(min(da, db), rng)
+        sa, sb = state_with_spectrum(a, da, db, rng), state_with_spectrum(b, da, db, rng)
+        cases[f"{name}-deterministic"] = (synthesize(sa, sb, 1.0), sa, sb)
+        sa, sb = random_state(da, db, rng), random_state(da, db, rng)
+        cases[f"{name}-stage2"] = (synthesize(sa, sb, max_probability(sa, sb) / 2), sa, sb)
+    a, b = (np.sort(rng.dirichlet(np.ones(14)))[::-1] for _ in range(2))
+    sa, sb = state_with_spectrum(a, 14, 14, rng), state_with_spectrum(b, 14, 14, rng)
+    cases["square-d14-stage2"] = (synthesize(sa, sb, "max"), sa, sb)
+    sa = state_with_spectrum(np.array([0.6, 0.3, 0.1, 0.0]), 4, 4, rng)
+    sb = state_with_spectrum(np.array([0.4, 0.3, 0.2, 0.1]), 4, 4, rng)
+    cases["rank-deficient"] = (synthesize(sa, sb, "max"), sa, sb)
+    for base in ("square-deterministic", "square-stage2"):
+        proto, sa, sb = cases[base]
+        for how in ("M-scaled", "U-nudged", "U-swapped"):
+            cases[f"{base}-{how}"] = (_corrupted(proto, how), sa, sb)
+    return cases
+
+
+VERIFY_CASES = _verify_cases()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_matches_svd_reference(name):
+    proto, a, b = VERIFY_CASES[name]
+    assert (proto.stage2 is None) == ("deterministic" in name)
+    if name == "rank-deficient":
+        assert np.linalg.norm(proto.M0, 2) > 0.5
+    if name == "square-d14-stage2":
+        assert len(proto.outcomes) > 2 * simulate._VERIFY_CHUNK
+    report = _assert_matches_reference(proto, a, b)
+    corrupted = name.endswith(("M-scaled", "U-nudged", "U-swapped"))
+    assert report.passed is not corrupted
+
+
+def test_verify_matches_svd_reference_on_contract_reproducer():
+    # The seeded pairs of ROADMAP item 2: synthesize(A, B, "max") on
+    # Dirichlet(0.1) spectra returns protocols with large residuals and
+    # stage-1 operators that are not contractions.
+    rng = np.random.default_rng(5)
+    worst_residual = worst_excess = 0.0
+    for _ in range(400):
+        d = int(rng.integers(2, 9))
+        a = np.sort(rng.dirichlet(0.1 * np.ones(d)))[::-1]
+        b = np.sort(rng.dirichlet(0.1 * np.ones(d)))[::-1]
+        sa, sb = state_with_spectrum(a, d, d, rng), state_with_spectrum(b, d, d, rng)
+        report = _assert_matches_reference(synthesize(sa, sb, "max"), sa, sb)
+        worst_residual = max(worst_residual, report.max_residual)
+        worst_excess = max(worst_excess, max(report.norm_bounds))
+    assert worst_residual > 100.0
+    assert worst_excess > 5.0
+
+
+def test_verify_independent_of_chunk_size(monkeypatch):
+    rng = np.random.default_rng(65)
+    cases = []
+    for d in (10, 14):
+        b = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+        a = np.sort(rng.dirichlet(np.ones(d)))[::-1] if d == 14 else 0.5 * b + 0.05
+        sa, sb = state_with_spectrum(a, d, d, rng), state_with_spectrum(b, d, d, rng)
+        cases.append((synthesize(sa, sb, "max"), sa, sb))
+    assert [proto.stage2 is None for proto, _, _ in cases] == [True, False]
+    for proto, x, y in cases:
+        assert len(proto.outcomes) > simulate._VERIFY_CHUNK
+        expected = repr(verify(proto, x, y))
+        for chunk in (1, 5):
+            monkeypatch.setattr(simulate, "_VERIFY_CHUNK", chunk)
+            assert repr(verify(proto, x, y)) == expected
+        monkeypatch.undo()
+
+
+def test_verify_empty_protocol():
+    proto = dataclasses.replace(synthesize(BELL, SKEW, 1.0), outcomes=())
+    report = verify(proto, BELL, SKEW)
+    assert repr(report) == repr(VerificationReport(1.0, (), 0.0, (), (0.0,), 0.0, 1e-9, False))
+    assert repr(report) == repr(_reference_verify(proto, BELL, SKEW))
 
 
 # ---------------------------------------------------------------------------
