@@ -1,11 +1,11 @@
 """Majorization predicates and the constructive Birkhoff machinery.
 
 Vectors here are entanglement spectra: non-negative weights, compared after
-sorting and zero-padding to a common length. The constructive half turns a
-majorization relation ``a < q`` into an explicit bistochastic matrix (chain
-of T-transforms), splits that matrix into permutations (greedy Birkhoff
-extraction over perfect matchings) and prunes the convex combination down to
-the Caratheodory bound ``(d-1)**2 + 1``.
+sorting and zero-padding to a common length. The constructive half writes
+``a < q`` as a mix of at most ``d`` permutations of ``q``, which is all
+synthesis needs; the bistochastic matrix of that mix, greedy Birkhoff
+extraction over perfect matchings and pruning to the Caratheodory bound
+``(d-1)**2 + 1`` remain as matrix-level reference tools.
 """
 
 from __future__ import annotations
@@ -74,59 +74,72 @@ def compare(x, y, relation: str, tol: float = SUM_TOL) -> bool:
     return bool(np.all(tx >= ty - tol))
 
 
-def _t_transform_chain(a_sorted: np.ndarray, q_sorted: np.ndarray) -> tuple[np.ndarray, int]:
-    """Chain of T-transforms carrying ``q_sorted`` onto ``a_sorted``.
+def _permutation_terms(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights ``w`` and permutations ``perms`` (rows) with ``w @ q[perms] == a``.
 
-    Both inputs are sorted non-increasing and satisfy ``a < q``.  Returns the
-    accumulated bistochastic matrix and the number of transforms used, which
-    never exceeds ``d - 1``: every transform makes at least one further
-    coordinate match exactly.
+    ``a`` and ``q`` are sorted non-increasing with ``a < q``, so ``a`` lies in
+    the permutahedron of ``q`` (Rado) and at most ``n`` terms are needed.  A
+    tight interior prefix splits the pair in two.  Otherwise the ray from the
+    vertex ``q`` through ``a`` leaves the permutahedron at
+    ``x = q + t (a - q)``, on the first face where a top-``k`` sum of ``x``
+    reaches ``sum(q[:k])``; Newton (Dinkelbach) steps on those sums find
+    ``t``, so ``a = x / t + (1 - 1/t) q`` and ``x`` splits at ``k``.  The
+    terms of the two halves are merged by cumulative weight, which gives at
+    most ``n1 + n2 - 1`` of them.
     """
-    d = len(a_sorted)
-    thr = 1e-13
-    c = q_sorted.astype(float).copy()
-    chain = np.eye(d)
-    steps = 0
-    for _ in range(d + 1):
-        diff = c - a_sorted
-        deficits = np.flatnonzero(diff < -thr)
-        if deficits.size == 0:
-            break
-        j = int(deficits[0])
-        surpluses = np.flatnonzero(diff[:j] > thr)
-        if surpluses.size == 0:
-            # Residual deficit with no surplus left: the input satisfied the
-            # majorization precondition only up to comparison tolerance.
-            if -diff[j] <= SUM_TOL:
+    n = len(a)
+    if n == 1:
+        return np.ones(1), np.zeros((1, 1), dtype=np.intp)
+    head_q = np.cumsum(q)
+    gap = np.cumsum(a) - head_q
+    # A prefix within the totals' mismatch (plus roundoff) of tight counts as
+    # tight; otherwise a[-1] > q[-1], so the walk below has step[-1] > 0.
+    slack = abs(gap[-1]) + n * np.finfo(float).eps * head_q[-1]
+    k = int(np.argmax(gap[:-1])) + 1
+    order, t = np.arange(n), 1.0
+    if gap[k - 1] < -slack:
+        step = a - q
+        t = (q[0] - q[-1]) / step[-1]  # where the last entry of x reaches q[0]
+        while True:
+            x = q + t * step
+            order = np.argsort(-x, kind="stable")
+            k = int(np.argmax(np.cumsum(x[order])[:-1] - head_q[:-1])) + 1
+            t_next = (head_q[k - 1] - q[order[:k]].sum()) / step[order[:k]].sum()
+            if not 1.0 < t_next < t:
                 break
-            raise NumericalDegeneracyError("T-transform chain lost the majorization invariant")
-        k = int(surpluses[-1])
-        delta = min(diff[k], -diff[j])
-        t = min(delta / (c[k] - c[j]), 1.0)
-        step = np.eye(d)
-        step[k, k] = step[j, j] = 1.0 - t
-        step[k, j] = step[j, k] = t
-        c = step @ c
-        chain = step @ chain
-        steps += 1
-    if np.max(np.abs(c - a_sorted)) > d * SUM_TOL:
-        raise NumericalDegeneracyError("T-transform chain failed to converge")
-    return chain, steps
+            t = t_next
+        a = x[order]
+    w_l, p_l = _permutation_terms(a[:k], q[:k])
+    w_r, p_r = _permutation_terms(a[k:], q[k:])
+    cuts_l, cuts_r = np.cumsum(w_l)[:-1], np.cumsum(w_r)[:-1]
+    edges = np.concatenate(([0.0], np.sort(np.concatenate((cuts_l, cuts_r))), [1.0]))
+    live = np.diff(edges) > 0.0
+    starts = edges[:-1][live]
+    perms = np.empty((starts.size, n), dtype=np.intp)
+    perms[:, order] = np.hstack((
+        p_l[np.searchsorted(cuts_l, starts, "right")],
+        k + p_r[np.searchsorted(cuts_r, starts, "right")],
+    ))
+    weights = np.diff(edges)[live] / t
+    if t > 1.0:
+        return np.append(1.0 - 1.0 / t, weights), np.vstack((np.arange(n), perms))
+    return weights, perms
 
 
 def bistochastic_link(a, q) -> np.ndarray:
     """Bistochastic matrix ``D`` with ``D @ sort_desc(q) == sort_desc(a)``.
 
     Requires ``a < q`` (checked with :func:`compare`); raises
-    :class:`InfeasibleError` otherwise.
+    :class:`InfeasibleError` otherwise.  ``D`` is the convex combination of
+    at most ``d`` permutation matrices found by :func:`_permutation_terms`.
     """
     av = _clean_vector(a)
     qv = _clean_vector(q)
     if not compare(av, qv, "maj"):
         raise InfeasibleError("vectors are not majorization-comparable (need a < q)")
     av, qv = _pad_pair(av, qv)
-    chain, _ = _t_transform_chain(np.sort(av)[::-1], np.sort(qv)[::-1])
-    return chain
+    terms = zip(*_permutation_terms(np.sort(av)[::-1], np.sort(qv)[::-1]))
+    return BirkhoffDecomposition(tuple(terms), len(av)).reconstruct()
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,9 @@ def verify(
         raise InvalidInputError("state dimensions do not match the protocol")
 
     s2 = protocol.stage2
+    weights = [out.q for out in protocol.outcomes] + ([] if s2 is None else [s2.p])
+    if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails both comparisons
+        raise InvalidInputError("stage-1 weights q and the stage-2 p must lie in [0, 1]")
     if s2 is None:
         target = b_state.amp
     else:

@@ -14,10 +14,10 @@ the explicit operators of a two-stage protocol:
   exactly the requested probability.
 
 The intermediate spectrum comes from a closed-form witness of weak
-supermajorization; stage 1 is built from a Birkhoff decomposition of the
-bistochastic matrix linking the two entanglement spectra (Uhlmann mixing);
-greedy extraction already meets the Caratheodory bound.  Both stages are
-built from one Schmidt decomposition per state.
+supermajorization; stage 1 mixes at most ``rank(A)`` permutations of the
+intermediate spectrum that average to the source spectrum (Uhlmann mixing,
+one outcome per permutation), with no bistochastic matrix or Birkhoff
+step.  Both stages are built from one Schmidt decomposition per state.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import majorize
-from .bipartite import BipartiteState, SchmidtForm, schmidt, schmidt_rank, squared_spectrum
+from .bipartite import BipartiteState, SchmidtForm, schmidt, squared_spectrum
 from .errors import InfeasibleError, InvalidInputError, UnsupportedShapeError
 from .numkit import (
     DEFAULT_RANK_RTOL,
@@ -49,6 +49,12 @@ FEAS_ATOL = 1e-9
 def _tail_sums(x: np.ndarray) -> np.ndarray:
     """tails[k] = x[k] + x[k+1] + ... for a decreasingly sorted x."""
     return np.cumsum(x[::-1])[::-1]
+
+
+def _spectral_rank(x: np.ndarray) -> int:
+    """``schmidt_rank`` from a squared spectrum: square roots above the rank cutoff."""
+    s = np.sqrt(x)
+    return int(np.sum(s > DEFAULT_RANK_RTOL * np.max(s)))
 
 def _pmax_from_spectra(a, b, zero_tol: float = 1e-12) -> float:
     """Largest p with spectrum(A) weakly supermajorized by p * spectrum(B).
@@ -132,7 +138,7 @@ def feasibility(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Fe
         p_requested=p if isinstance(p, str) else float(p),
         p_max=p_max,
         deterministic_ok=majorize.compare(a, b, "maj"),
-        rank_ok=schmidt_rank(a_state) >= schmidt_rank(b_state),
+        rank_ok=_spectral_rank(a) >= _spectral_rank(b),
         super_maj_ok_at_p=majorize.compare(a, p_num * b, "super"),
         pure_necessary_ok_at_p=majorize.compare(p_num * b, a, "sub"),
         schmidt_sq_a=a,
@@ -179,12 +185,11 @@ def uhlmann_decompose(c, d) -> list[tuple[float, np.ndarray]]:
 
     For Hermitian operators with eigenvalues(c) majorized by eigenvalues(d),
     returns weights and unitaries with ``sum w * W @ d @ W.conj().T == c``
-    and at most ``(r-1)**2 + 1`` terms, r being the effective spectral
-    support size.
+    and at most r terms, r being the effective spectral support size of c.
 
     Each ``W`` has the form ``U_c @ P @ U_d.conj().T`` with eigenbases of c
-    and d around a permutation ``P`` of the Birkhoff decomposition linking
-    the two spectra; the permutation orientation is the one that makes the
+    and d around one of the permutations ``P`` that average the spectrum of
+    d to that of c; the permutation orientation is the one that makes the
     reconstruction identity hold (verified by the reconstruction tests).
     """
     cm = as_matrix(c)
@@ -195,32 +200,30 @@ def uhlmann_decompose(c, d) -> list[tuple[float, np.ndarray]]:
     e_d, u_d = hermitian_eigs(dm)
     if not majorize.compare(e_c, e_d, "maj"):
         raise InfeasibleError("eigenvalues(c) are not majorized by eigenvalues(d)")
-    terms = _mixing_terms(np.clip(e_c, 0.0, None), np.clip(e_d, 0.0, None), cm.shape[0])
+    terms, _ = _mixing_terms(np.clip(e_c, 0.0, None), np.clip(e_d, 0.0, None), cm.shape[0])
     return [(w, u_c @ u_d[:, pi].conj().T) for w, pi in terms]
 
 
-def _support_size(x: np.ndarray) -> int:
-    top = float(np.max(x)) if x.size else 0.0
-    if top <= 0.0:
-        return 1
-    return max(1, int(np.sum(x > (DEFAULT_RANK_RTOL**2) * top)))
+def _mixing_terms(
+    a: np.ndarray, q: np.ndarray, n: int
+) -> tuple[list[tuple[float, np.ndarray]], np.ndarray]:
+    """Permutation terms routing spectrum ``q`` onto spectrum ``a`` (``a < q``).
 
-
-def _mixing_terms(a: np.ndarray, q: np.ndarray, n: int) -> list[tuple[float, np.ndarray]]:
-    """Birkhoff terms routing spectrum ``q`` onto spectrum ``a`` (``a < q``).
-
-    Works on the top block covering both spectral supports, so greedy
-    extraction already stays within the Caratheodory bound for the *rank*,
-    not the full dimension.  Each permutation ``pi`` acts on sorted indices,
+    Works on the block of the spectral rank of ``a``, so there are at most
+    that many terms.  Each permutation ``pi`` acts on sorted indices,
     ``(P q)[i] == q[pi[i]]``, and is extended by the identity to length ``n``.
+    Also returns the mixture ``sum w P q`` the terms extract on the block
+    (``a`` up to roundoff), zero beyond it.
     """
     a_s = np.sort(a)[::-1]
     q_s = np.sort(q)[::-1]
     a_s, q_s = majorize._pad_pair(a_s, q_s)
-    block = max(_support_size(a_s), _support_size(q_s))
-    link = majorize.bistochastic_link(a_s[:block], q_s[:block])
-    dec = majorize.birkhoff(link, tol=1e-12)
-    return [(w, np.concatenate([perm, np.arange(block, n)])) for w, perm in dec.terms]
+    block = max(1, _spectral_rank(a_s))
+    weights, perms = majorize._permutation_terms(a_s[:block], q_s[:block])
+    mixture = np.zeros(a_s.size)
+    mixture[:block] = weights @ q_s[perms]
+    tail = np.arange(block, n)
+    return [(float(w), np.concatenate([perm, tail])) for w, perm in zip(weights, perms)], mixture
 
 
 @dataclass(frozen=True)
@@ -259,21 +262,25 @@ class LoccProtocol:
 def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[list[StageOneOutcome], np.ndarray]:
     """Stage-1 outcomes and ``M0`` from the Schmidt forms of A and Q.
 
-    In the Schmidt bases ``M = sqrt(w) Sigma_Q P Sigma_A^+`` and ``U*`` is a
-    permutation, so both are column gathers.  ``M0`` projects onto the left
-    Schmidt vectors of A whose coefficients are at or below the rank cutoff.
+    In the Schmidt bases ``M = sqrt(w) Sigma_Q P S^(-1/2)`` and ``U*`` is a
+    permutation, so both are column gathers.  ``s = sum_k w_k P_k q`` is the
+    mixture the terms actually extract (``a`` up to roundoff), so
+    ``sum M'M`` is exactly the projector onto the coordinates with ``s > 0``;
+    ``M0`` projects onto every other left Schmidt vector of A, those beyond
+    the rank cutoff included.
     """
     da, db = fa.left_basis.shape[0], fa.right_basis.shape[0]
     r = fa.coeffs.size
-    keep = fa.coeffs > DEFAULT_RANK_RTOL * fa.coeffs[0]
-    inv_a = np.where(keep, 1.0 / np.where(keep, fa.coeffs, 1.0), 0.0)
+    terms, s = _mixing_terms(fa.coeffs**2, fq.coeffs**2, db)
+    keep = s > 0.0
+    inv_s = np.where(keep, 1.0 / np.sqrt(np.where(keep, s, 1.0)), 0.0)
     x_a_adj = fa.left_basis[:, :r].conj().T
     y_q_adj = fq.right_basis.conj().T
     outcomes = []
-    for w, pi in _mixing_terms(fa.coeffs**2, fq.coeffs**2, db):
-        m = (fq.left_basis[:, pi[:r]] * (np.sqrt(w) * fq.coeffs[pi[:r]] * inv_a)) @ x_a_adj
+    for w, pi in terms:
+        m = (fq.left_basis[:, pi[:r]] * (np.sqrt(w) * fq.coeffs[pi[:r]] * inv_s)) @ x_a_adj
         u = (y_q_adj[:, pi] @ fa.right_basis).conj()
-        outcomes.append(StageOneOutcome(q=float(w), M=m, U=u))
+        outcomes.append(StageOneOutcome(q=w, M=m, U=u))
     null = np.ones(da, dtype=bool)
     null[:r] = ~keep
     x_null = fa.left_basis[:, null]
@@ -303,9 +310,8 @@ def deterministic_stage(
 
     Requires spectrum(A) majorized by spectrum(Q).  Every outcome satisfies
     ``(M (x) U) |A>> = sqrt(q) |Q>>`` and the contractions resolve the
-    projector onto the range of A; ``M0 = I - A A^+`` completes the
-    measurement on the orthogonal complement, where the source state has no
-    amplitude.
+    projector onto the range of A; ``M0`` completes the measurement on the
+    orthogonal complement, where the source state has no amplitude.
     """
     if a_state.dims != q_state.dims:
         raise InvalidInputError(f"dimension mismatch: {a_state.dims} vs {q_state.dims}")

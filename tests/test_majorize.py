@@ -4,7 +4,7 @@ import pytest
 from locc_forge.errors import InfeasibleError, InvalidInputError, NumericalDegeneracyError
 from locc_forge.majorize import (
     BirkhoffDecomposition,
-    _t_transform_chain,
+    _permutation_terms,
     birkhoff,
     bistochastic_link,
     caratheodory_prune,
@@ -99,15 +99,6 @@ def test_link_three_dim_postconditions():
 def test_link_requires_majorization():
     with pytest.raises(InfeasibleError):
         bistochastic_link([0.9, 0.1], [0.6, 0.4])
-
-
-def test_link_chain_length_bound():
-    rng = np.random.default_rng(22)
-    for _ in range(100):
-        d = int(rng.integers(2, 9))
-        a, q = comparable_spectra(d, rng)
-        _, steps = _t_transform_chain(a, q)
-        assert steps <= d - 1
 
 
 def test_link_random_pairs():
@@ -266,6 +257,31 @@ def test_birkhoff_terms_equal_reference_on_random_bistochastic(tol):
     for d in (2, 3, 5, 8, 13, 21):
         mat = random_bistochastic(d, rng)
         assert birkhoff(mat, tol=tol).terms == _reference_terms(mat, tol)
+
+
+# ---------------------------------------------------------------------------
+# _permutation_terms
+# ---------------------------------------------------------------------------
+
+def test_permutation_terms_at_most_n():
+    # Rado + Caratheodory: a < q is a mix of at most n permutations of q.
+    rng = np.random.default_rng(22)
+    for kind in ("dense", "sparse", "tied", "rank-drop"):
+        for d in range(1, 49):
+            a, q = _link_spectrum(kind, d, rng)
+            weights, perms = _permutation_terms(a, q)
+            assert len(weights) == len(perms) <= d, (kind, d)
+            assert np.all(weights >= 0.0)
+            assert abs(weights.sum() - 1.0) <= 1e-12
+            assert all(sorted(perm.tolist()) == list(range(d)) for perm in perms)
+            assert np.abs(weights @ q[perms] - a).max() <= 1e-12, (kind, d)
+
+
+def test_permutation_terms_equal_vectors_one_term():
+    for q in ([1.0], [0.5, 0.3, 0.2], [0.4, 0.2, 0.2, 0.2, 0.0]):
+        weights, perms = _permutation_terms(np.array(q), np.array(q))
+        assert weights.tolist() == [1.0]
+        assert perms.tolist() == [list(range(len(q)))]
 
 
 # ---------------------------------------------------------------------------

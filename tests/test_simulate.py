@@ -163,11 +163,11 @@ def _assert_matches_reference(protocol, a_state, b_state):
     return report
 
 
-def _corrupted(protocol, how):
+def _corrupted(protocol, how, factor=1.5):
     outcomes = list(protocol.outcomes)
     first = outcomes[0]
     if how == "M-scaled":
-        outcomes[0] = dataclasses.replace(first, M=1.5 * first.M)
+        outcomes[0] = dataclasses.replace(first, M=factor * first.M)
     elif how == "U-nudged":
         u = first.U.copy()
         u[0, 0] += 1e-6
@@ -176,6 +176,22 @@ def _corrupted(protocol, how):
         outcomes[0] = dataclasses.replace(first, U=outcomes[1].U)
         outcomes[1] = dataclasses.replace(outcomes[1], U=first.U)
     return dataclasses.replace(protocol, outcomes=tuple(outcomes))
+
+
+def _split_outcomes(protocol, copies):
+    """The same protocol with every outcome (q, M, U) split into ``copies``
+    outcomes (q/copies, M/sqrt(copies), U), which is still a valid protocol."""
+    outcomes = tuple(
+        StageOneOutcome(q=out.q / copies, M=out.M / math.sqrt(copies), U=out.U)
+        for out in protocol.outcomes
+        for _ in range(copies)
+    )
+    return dataclasses.replace(protocol, outcomes=outcomes)
+
+
+def _spanning_chunks(protocol, chunks):
+    """``protocol`` split evenly into more than ``chunks`` chunks of outcomes."""
+    return _split_outcomes(protocol, chunks * simulate._VERIFY_CHUNK // len(protocol.outcomes) + 1)
 
 
 def _verify_cases():
@@ -189,7 +205,7 @@ def _verify_cases():
         cases[f"{name}-stage2"] = (synthesize(sa, sb, max_probability(sa, sb) / 2), sa, sb)
     a, b = (np.sort(rng.dirichlet(np.ones(14)))[::-1] for _ in range(2))
     sa, sb = state_with_spectrum(a, 14, 14, rng), state_with_spectrum(b, 14, 14, rng)
-    cases["square-d14-stage2"] = (synthesize(sa, sb, "max"), sa, sb)
+    cases["square-d14-stage2"] = (_spanning_chunks(synthesize(sa, sb, "max"), 2), sa, sb)
     sa = state_with_spectrum(np.array([0.6, 0.3, 0.1, 0.0]), 4, 4, rng)
     sb = state_with_spectrum(np.array([0.4, 0.3, 0.2, 0.1]), 4, 4, rng)
     cases["rank-deficient"] = (synthesize(sa, sb, "max"), sa, sb)
@@ -218,8 +234,9 @@ def test_verify_matches_svd_reference(name):
 
 def test_verify_matches_svd_reference_on_contract_reproducer():
     # The seeded pairs of ROADMAP item 2: synthesize(A, B, "max") on
-    # Dirichlet(0.1) spectra returns protocols with large residuals and
-    # stage-1 operators that are not contractions.
+    # Dirichlet(0.1) spectra.  Every stage-1 instrument is complete and made
+    # of contractions; a copy with one M scaled by 20 keeps the coverage of
+    # large residuals and of operators that are not contractions.
     rng = np.random.default_rng(5)
     worst_residual = worst_excess = 0.0
     for _ in range(400):
@@ -227,7 +244,11 @@ def test_verify_matches_svd_reference_on_contract_reproducer():
         a = np.sort(rng.dirichlet(0.1 * np.ones(d)))[::-1]
         b = np.sort(rng.dirichlet(0.1 * np.ones(d)))[::-1]
         sa, sb = state_with_spectrum(a, d, d, rng), state_with_spectrum(b, d, d, rng)
-        report = _assert_matches_reference(synthesize(sa, sb, "max"), sa, sb)
+        proto = synthesize(sa, sb, "max")
+        report = _assert_matches_reference(proto, sa, sb)
+        assert report.completeness_residual <= 1e-12
+        assert max(report.norm_bounds) <= 1e-12
+        report = _assert_matches_reference(_corrupted(proto, "M-scaled", 20.0), sa, sb)
         worst_residual = max(worst_residual, report.max_residual)
         worst_excess = max(worst_excess, max(report.norm_bounds))
     assert worst_residual > 100.0
@@ -241,7 +262,7 @@ def test_verify_independent_of_chunk_size(monkeypatch):
         b = np.sort(rng.dirichlet(np.ones(d)))[::-1]
         a = np.sort(rng.dirichlet(np.ones(d)))[::-1] if d == 14 else 0.5 * b + 0.05
         sa, sb = state_with_spectrum(a, d, d, rng), state_with_spectrum(b, d, d, rng)
-        cases.append((synthesize(sa, sb, "max"), sa, sb))
+        cases.append((_spanning_chunks(synthesize(sa, sb, "max"), 1), sa, sb))
     assert [proto.stage2 is None for proto, _, _ in cases] == [True, False]
     for proto, x, y in cases:
         assert len(proto.outcomes) > simulate._VERIFY_CHUNK
@@ -250,6 +271,17 @@ def test_verify_independent_of_chunk_size(monkeypatch):
             monkeypatch.setattr(simulate, "_VERIFY_CHUNK", chunk)
             assert repr(verify(proto, x, y)) == expected
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+def test_verify_rejects_bad_weights(bad):
+    proto = synthesize(SKEW, BELL, 0.4)
+    first = dataclasses.replace(proto.outcomes[0], q=bad)
+    with pytest.raises(InvalidInputError):
+        verify(dataclasses.replace(proto, outcomes=(first,) + proto.outcomes[1:]), SKEW, BELL)
+    stage2 = dataclasses.replace(proto.stage2, p=bad)
+    with pytest.raises(InvalidInputError):
+        verify(dataclasses.replace(proto, stage2=stage2), SKEW, BELL)
 
 
 def test_verify_empty_protocol():

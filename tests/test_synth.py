@@ -436,8 +436,8 @@ def test_synthesize_m0_branch_is_silent():
 
 
 def test_synthesize_outcome_count_bound():
-    # Greedy Birkhoff extraction alone must stay within the bound: no
-    # pruning pass runs during synthesis.
+    # Stage 1 mixes at most rank(A) permutations; no pruning pass runs
+    # during synthesis.
     rng = np.random.default_rng(53)
     for i in range(90):
         d = int(rng.integers(2, 11))
@@ -459,6 +459,7 @@ def test_synthesize_outcome_count_bound():
         proto = synthesize(a, b, "max")
         rank = schmidt_rank(a)
         assert len(proto.outcomes) <= (rank - 1) ** 2 + 1
+        assert len(proto.outcomes) <= rank
 
 
 def seeded_pairs(seed, count):
@@ -479,6 +480,11 @@ def seeded_pairs(seed, count):
 def test_synthesize_max_is_feasibility_pmax():
     for a, b in seeded_pairs(58, 150):
         assert synthesize(a, b, "max").p_total == feasibility(a, b).p_max
+
+
+def test_feasibility_rank_ok_matches_schmidt_rank():
+    for a, b in seeded_pairs(60, 300):
+        assert feasibility(a, b).rank_ok == (schmidt_rank(a) >= schmidt_rank(b))
 
 
 def test_synthesize_operators_in_schmidt_frame():
