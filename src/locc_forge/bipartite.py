@@ -5,6 +5,9 @@ multiplies the product basis vector ``|i>|j>``.  Local operators then act by
 matrix multiplication: applying ``C_A`` on the first party and ``C_B`` on the
 second maps ``amp`` to ``C_A @ amp @ C_B.T``, and the squared Frobenius norm
 of the result is the probability weight of that measurement branch.
+
+``_spectral_rank`` is the one test of "this Schmidt coordinate is zero" that
+``schmidt_rank``, ``p_max``, ``rank_ok`` and both synthesis stages read.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numkit import as_matrix, rect_diag, svd
+from .majorize import SUM_TOL
+from .numkit import DEFAULT_RANK_RTOL, as_matrix, rect_diag, svd
 
 #: Acceptable deviation of a state's squared norm from 1.
 NORM_ATOL = 1e-8
@@ -79,7 +83,7 @@ def from_schmidt(coeffs, da: int, db: int) -> BipartiteState:
         raise InvalidInputError(f"need 1..min(da, db) coefficients, got {c.size}")
     if np.min(c) < -1e-12:
         raise InvalidInputError("squared Schmidt coefficients must be non-negative")
-    if abs(float(np.sum(c)) - 1.0) > 1e-10:
+    if abs(float(np.sum(c)) - 1.0) > SUM_TOL:
         raise InvalidInputError("squared Schmidt coefficients must sum to 1")
     amp = rect_diag(np.sqrt(np.clip(c, 0.0, None)), da, db)
     return BipartiteState(amp)
@@ -91,18 +95,21 @@ def schmidt(state: BipartiteState) -> SchmidtForm:
     return SchmidtForm(left_basis=t.x, coeffs=t.sigma, right_basis=t.y)
 
 
-def schmidt_rank(state: BipartiteState, rtol: float = 1e-12) -> int:
-    """Number of Schmidt coefficients above ``rtol`` times the largest one."""
-    s = np.linalg.svd(state.amp, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+def schmidt_rank(state: BipartiteState) -> int:
+    """Number of Schmidt coefficients above ``DEFAULT_RANK_RTOL`` times the largest one."""
+    return _spectral_rank(squared_spectrum(state))
 
 
 def squared_spectrum(state: BipartiteState) -> np.ndarray:
     """Squared Schmidt coefficients, non-increasing (the entanglement spectrum)."""
     s = np.linalg.svd(state.amp, compute_uv=False)
     return s * s
+
+
+def _spectral_rank(x: np.ndarray) -> int:
+    """Rank of a squared spectrum: square roots above ``DEFAULT_RANK_RTOL`` times the largest."""
+    s = np.sqrt(x)
+    return int(np.count_nonzero(s > DEFAULT_RANK_RTOL * s.max()))
 
 
 def apply_local(state: BipartiteState, c_a, c_b) -> tuple[np.ndarray, float]:

@@ -25,9 +25,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bipartite import BipartiteState
+from .bipartite import NORM_ATOL, BipartiteState
 from .errors import InfeasibleError, LoccForgeError
-from .simulate import estimate, verify
+from .simulate import VERIFY_TOL, estimate, verify
 from .synth import (
     LoccProtocol,
     StageOneOutcome,
@@ -97,9 +97,9 @@ def load_state(path: str, renormalize: bool = False) -> BipartiteState:
     norm = float(np.linalg.norm(amp))
     if norm == 0.0:
         raise CliInputError(f"{path}: zero amplitude matrix")
-    if abs(norm * norm - 1.0) > 1e-8 and not renormalize:
+    if abs(norm * norm - 1.0) > NORM_ATOL and not renormalize:
         raise CliInputError(
-            f"{path}: state norm^2 = {norm * norm!r} is off by more than 1e-8 "
+            f"{path}: state norm^2 = {norm * norm!r} is off by more than {NORM_ATOL:g} "
             "(pass --renormalize to accept)"
         )
     return BipartiteState(amp / norm)
@@ -320,8 +320,8 @@ def cmd_reduce_bob(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _tol(flag: float | None) -> float:
-    """``--tol`` if given, else ``LOCC_FORGE_TOL``, else 1e-9; finite and non-negative."""
-    raw = os.environ.get("LOCC_FORGE_TOL", "1e-9") if flag is None else flag
+    """``--tol`` if given, else ``LOCC_FORGE_TOL``, else ``VERIFY_TOL``; finite and non-negative."""
+    raw = os.environ.get("LOCC_FORGE_TOL", VERIFY_TOL) if flag is None else flag
     try:
         tol = float(raw)
     except ValueError:
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol",
         type=float,
-        help="residual tolerance (default 1e-9, or LOCC_FORGE_TOL)",
+        help=f"residual tolerance (default {VERIFY_TOL:g}, or LOCC_FORGE_TOL)",
     )
     _add_common(p)
     p.set_defaults(func=cmd_verify)

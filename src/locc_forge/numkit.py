@@ -5,7 +5,8 @@ Conventions used everywhere else in the package:
 * the SVD of a matrix ``m`` is written ``m = x @ diag(sigma) @ y`` where both
   ``x`` and ``y`` are unitary, i.e. ``y`` is the *full right factor* with the
   adjoint already folded in;
-* ``pinv`` is the Moore-Penrose inverse with a relative rank cutoff;
+* ``pinv`` is the Moore-Penrose inverse with the relative rank cutoff
+  ``DEFAULT_RANK_RTOL``, which ``bipartite`` also applies to Schmidt spectra;
 * ``transposition_unitary`` returns the unitary ``k`` with
   ``m.T == k @ m @ k.conj()`` for square ``m``.
 """
@@ -20,6 +21,8 @@ from .errors import InvalidInputError
 
 #: Singular values below ``DEFAULT_RANK_RTOL * sigma_max`` count as zero.
 DEFAULT_RANK_RTOL = 1e-12
+#: Largest entry of ``h - h'`` for which ``h`` counts as Hermitian.
+HERM_ATOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -106,7 +109,7 @@ def transposition_unitary(m) -> np.ndarray:
     return t.y.T @ t.x.conj().T
 
 
-def hermitian_eigs(h, herm_atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigs(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (non-increasing) and unitary eigenbasis of Hermitian ``h``.
 
     Returns ``(e, u)`` with ``h == u @ diag(e) @ u.conj().T``.
@@ -114,17 +117,17 @@ def hermitian_eigs(h, herm_atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
     a = as_matrix(h)
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError("hermitian_eigs requires a square matrix")
-    if np.max(np.abs(a - a.conj().T)) > herm_atol:
+    if np.max(np.abs(a - a.conj().T)) > HERM_ATOL:
         raise InvalidInputError("matrix is not Hermitian within tolerance")
     e, u = np.linalg.eigh((a + a.conj().T) / 2.0)
     return e[::-1].copy(), u[:, ::-1].copy()
 
 
-def psd_sqrt(h, herm_atol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(h) -> np.ndarray:
     """Principal (positive semidefinite) square root of Hermitian PSD ``h``.
 
     Tiny negative eigenvalues from roundoff are clamped to zero.
     """
-    e, u = hermitian_eigs(h, herm_atol=herm_atol)
+    e, u = hermitian_eigs(h)
     root = np.sqrt(np.clip(e, 0.0, None))
     return u @ np.diag(root.astype(complex)) @ u.conj().T

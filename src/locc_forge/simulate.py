@@ -34,6 +34,11 @@ from .bipartite import BipartiteState, fidelity
 from .errors import InvalidInputError
 from .synth import LoccProtocol, _flow_balance
 
+#: Default residual tolerance of ``verify`` and of ``locc-forge verify``.
+VERIFY_TOL = 1e-9
+#: A stage-2 failure branch at or below this weight is not normalized into a state.
+_MIN_FAIL_WEIGHT = 1e-30
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -116,7 +121,7 @@ def verify(
     protocol: LoccProtocol,
     a_state: BipartiteState,
     b_state: BipartiteState,
-    tol: float = 1e-9,
+    tol: float = VERIFY_TOL,
 ) -> VerificationReport:
     """Check every identity a valid protocol must satisfy.
 
@@ -348,7 +353,7 @@ def run_once(protocol: LoccProtocol, state: BipartiteState, rng: np.random.Gener
         )
     fail_amp = s2.N_fail @ inter
     w_fail = float(np.vdot(fail_amp, fail_amp).real)
-    final = BipartiteState(fail_amp / math.sqrt(w_fail)) if w_fail > 1e-30 else None
+    final = BipartiteState(fail_amp / math.sqrt(w_fail)) if w_fail > _MIN_FAIL_WEIGHT else None
     return RunTrace(
         outcome_index=idx,
         classical_message=idx,
@@ -383,7 +388,7 @@ def _outcome_stats(
         fid = fidelity(BipartiteState(success_amp / math.sqrt(w_succ)), target)
     fail_amp = s2.N_fail @ inter
     w_fail = _norm_sq(fail_amp)
-    if w_fail > 1e-30:
+    if w_fail > _MIN_FAIL_WEIGHT:
         BipartiteState(fail_amp / math.sqrt(w_fail))
     return w_succ, fid
 

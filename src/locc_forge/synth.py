@@ -17,7 +17,8 @@ The intermediate spectrum comes from a closed-form witness of weak
 supermajorization; stage 1 mixes at most ``rank(A)`` permutations of the
 intermediate spectrum that average to the source spectrum (Uhlmann mixing,
 one outcome per permutation), with no bistochastic matrix or Birkhoff
-step.  Both stages are built from one Schmidt decomposition per state.
+step.  Both stages are built from one Schmidt decomposition per state, and
+every rank cutoff, ``p_max``'s zero test included, is ``bipartite``'s one.
 """
 
 from __future__ import annotations
@@ -27,16 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import majorize
-from .bipartite import BipartiteState, SchmidtForm, schmidt, squared_spectrum
-from .errors import InfeasibleError, InvalidInputError, UnsupportedShapeError
-from .numkit import (
-    DEFAULT_RANK_RTOL,
-    as_matrix,
-    hermitian_eigs,
-    opnorm,
-    svd,
-    transposition_unitary,
+from .bipartite import (
+    NORM_ATOL, BipartiteState, SchmidtForm, _spectral_rank, schmidt, squared_spectrum
 )
+from .errors import InfeasibleError, InvalidInputError, UnsupportedShapeError
+from .numkit import as_matrix, hermitian_eigs, opnorm, svd, transposition_unitary
 
 #: Slack allowed when a requested probability sits right at the maximum.
 FEAS_ATOL = 1e-9
@@ -51,32 +47,19 @@ def _tail_sums(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x[::-1])[::-1]
 
 
-def _spectral_rank(x: np.ndarray) -> int:
-    """``schmidt_rank`` from a squared spectrum: square roots above the rank cutoff."""
-    s = np.sqrt(x)
-    return int(np.sum(s > DEFAULT_RANK_RTOL * np.max(s)))
-
-def _pmax_from_spectra(a, b, zero_tol: float = 1e-12) -> float:
+def _pmax_from_spectra(a, b) -> float:
     """Largest p with spectrum(A) weakly supermajorized by p * spectrum(B).
 
-    Equals the minimum over k of the ratio of tail sums E_k(a) / E_k(b),
-    clamped to [0, 1].  Vanishing tails of b impose no constraint; a
-    vanishing tail of a against a positive tail of b forces 0.
+    Equals the minimum of the tail-sum ratios E_k(a) / E_k(b) over the first
+    rank(B) tails, clamped to [0, 1]; it is 0 exactly when rank(A) < rank(B).
     """
     av, bv = majorize._pad_pair(np.sort(a)[::-1], np.sort(b)[::-1])
-    ta = _tail_sums(av)
-    tb = _tail_sums(bv)
-    p = 1.0
-    for ea, eb in zip(ta, tb):
-        if eb <= zero_tol:
-            continue
-        if ea <= zero_tol:
-            return 0.0
-        p = min(p, ea / eb)
-    if p > 1.0 - 1e-12:
-        # Ratios pinned to 1 by rounding crumbs mean a deterministic pair.
-        return 1.0
-    return max(p, 0.0)
+    rank_b = _spectral_rank(bv)
+    if _spectral_rank(av) < rank_b:
+        return 0.0
+    p = (_tail_sums(av)[:rank_b] / _tail_sums(bv)[:rank_b]).min()
+    # Ratios pinned to 1 by rounding crumbs mean a deterministic pair.
+    return 1.0 if p > 1.0 - 1e-12 else p
 
 
 def max_probability(a_state: BipartiteState, b_state: BipartiteState) -> float:
@@ -169,7 +152,7 @@ def intermediate_vector(a, b, p: float) -> np.ndarray:
     av = np.sort(majorize._clean_vector(a))[::-1]
     bv = np.sort(majorize._clean_vector(b))[::-1]
     av, bv = majorize._pad_pair(av, bv)
-    if abs(av.sum() - 1.0) > 1e-8 or abs(bv.sum() - 1.0) > 1e-8:
+    if abs(av.sum() - 1.0) > NORM_ATOL or abs(bv.sum() - 1.0) > NORM_ATOL:
         raise InvalidInputError("squared Schmidt vectors must sum to 1")
     p = float(p)
     p_max = _pmax_from_spectra(av, bv)
@@ -293,7 +276,7 @@ def _stage_two(
     """``(N, V, N_fail)`` taking Q to B; N is diagonal in the left Schmidt bases,
     so ``N_fail = X_Q diag(sqrt(1 - p sigma_B**2 / sigma_Q**2)) X_Q'``."""
     r = fq.coeffs.size
-    keep = fq.coeffs > DEFAULT_RANK_RTOL * fq.coeffs[0]
+    keep = np.arange(r) < _spectral_rank(fq.coeffs**2)
     ratio = np.where(keep, fb.coeffs / np.where(keep, fq.coeffs, 1.0), 0.0)
     n = (fb.left_basis[:, :r] * (np.sqrt(p) * ratio)) @ fq.left_basis[:, :r].conj().T
     fail = np.ones(fq.left_basis.shape[0])

@@ -64,3 +64,14 @@ def random_contraction(d, rng, norm=None):
     g = random_complex(d, d, rng)
     target = norm if norm is not None else rng.uniform(0.3, 1.0)
     return g * (target / np.linalg.norm(g, 2))
+
+
+def reproducer_pairs(count=400):
+    """Seed-5 square pairs at d = 2..8 with Dirichlet(0.1) spectra, whose
+    smallest Schmidt coefficients reach far below roundoff."""
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        d = int(rng.integers(2, 9))
+        a = np.sort(rng.dirichlet(0.1 * np.ones(d)))[::-1]
+        b = np.sort(rng.dirichlet(0.1 * np.ones(d)))[::-1]
+        yield state_with_spectrum(a, d, d, rng), state_with_spectrum(b, d, d, rng)

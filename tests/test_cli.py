@@ -7,6 +7,7 @@ import pytest
 
 from locc_forge.bipartite import from_schmidt
 from locc_forge.cli import (
+    _tol,
     load_protocol,
     load_state,
     matrix_from_json,
@@ -15,7 +16,7 @@ from locc_forge.cli import (
     protocol_to_dict,
     save_state,
 )
-from locc_forge.simulate import verify
+from locc_forge.simulate import VERIFY_TOL, verify
 from locc_forge.synth import synthesize
 
 BELL = from_schmidt([0.5, 0.5], 2, 2)
@@ -252,6 +253,14 @@ def test_tol_env_override(state_files, tmp_path, monkeypatch):
         env=env,
     )
     assert proc.returncode == 0
+
+
+def test_default_tolerance_is_verify_tol(monkeypatch):
+    monkeypatch.delenv("LOCC_FORGE_TOL", raising=False)
+    assert _tol(None) == VERIFY_TOL == verify.__defaults__[0]
+    monkeypatch.setenv("LOCC_FORGE_TOL", "1e-3")
+    assert _tol(None) == 1e-3
+    assert _tol(0.5) == 0.5
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from locc_forge.bipartite import (
 )
 from locc_forge.errors import InfeasibleError, InvalidInputError, UnsupportedShapeError
 from locc_forge.numkit import opnorm, unitarity_defect
+from locc_forge.simulate import verify
 from locc_forge.synth import (
     deterministic_stage,
     feasibility,
@@ -29,6 +32,7 @@ from helpers import (
     random_spectrum,
     random_state,
     random_unitary,
+    reproducer_pairs,
     state_with_spectrum,
 )
 
@@ -485,6 +489,34 @@ def test_synthesize_max_is_feasibility_pmax():
 def test_feasibility_rank_ok_matches_schmidt_rank():
     for a, b in seeded_pairs(60, 300):
         assert feasibility(a, b).rank_ok == (schmidt_rank(a) >= schmidt_rank(b))
+
+
+def test_pmax_zero_iff_rank_gap():
+    # p_max and rank_ok read one rank rule, so p_max is 0 exactly when
+    # rank(A) < rank(B) (Vidal 1999), tiny Schmidt coefficients included.
+    for a, b in itertools.chain(seeded_pairs(61, 300), reproducer_pairs()):
+        report = feasibility(a, b)
+        assert (report.p_max == 0.0) == (not report.rank_ok)
+
+
+@pytest.mark.parametrize(
+    "a_spec, b_spec, p_max",
+    [
+        # B has rank 3 through a coefficient of 1e-13, A has rank 2.
+        ([0.5, 0.5, 0.0], [0.5, 0.5 - 1e-13, 1e-13], 0.0),
+        # Both have rank 3; the last tail ratio 1.9e-16 / 2.4e-11 is the minimum.
+        ([0.6, 0.4 - 1.9e-16, 1.9e-16], [0.7, 0.3 - 2.4e-11, 2.4e-11], 1.9e-16 / 2.4e-11),
+    ],
+    ids=["rank-gap", "tiny-tails"],
+)
+def test_pmax_on_tiny_schmidt_tails(a_spec, b_spec, p_max):
+    a, b = from_schmidt(a_spec, 3, 3), from_schmidt(b_spec, 3, 3)
+    report = feasibility(a, b)
+    assert report.rank_ok == (p_max > 0.0)
+    assert report.p_max == pytest.approx(p_max, rel=1e-12, abs=0.0)
+    proto = synthesize(a, b, "max")
+    assert proto.p_total == report.p_max
+    assert verify(proto, a, b).passed
 
 
 def test_synthesize_operators_in_schmidt_frame():
