@@ -12,7 +12,6 @@ of the result is the probability weight of that measurement branch.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +48,10 @@ class BipartiteState:
     @property
     def digest(self) -> str:
         """SHA-256 over the exact amplitude bytes (shape included)."""
+        # Imported here: only digests need it, and its import (OpenSSL
+        # bindings, about 4 ms) would otherwise delay every process start.
+        import hashlib
+
         h = hashlib.sha256()
         h.update(repr(self.amp.shape).encode())
         h.update(np.ascontiguousarray(self.amp).tobytes())

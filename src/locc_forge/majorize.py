@@ -78,39 +78,71 @@ def _permutation_terms(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     """Weights ``w`` and permutations ``perms`` (rows) with ``w @ q[perms] == a``.
 
     ``a`` and ``q`` are sorted non-increasing with ``a < q``, so ``a`` lies in
-    the permutahedron of ``q`` (Rado) and at most ``n`` terms are needed.  A
-    tight interior prefix splits the pair in two.  Otherwise the ray from the
-    vertex ``q`` through ``a`` leaves the permutahedron at
+    the permutahedron of ``q`` (Rado) and at most ``n`` terms are needed.
+    Each pair is split in two (``_split``), down to single entries, and the
+    terms of the two halves are merged by cumulative weight
+    (``_merge_halves``), which gives at most ``n1 + n2 - 1`` of them.  The
+    splits run from an explicit stack of pending pairs, left half first, so
+    no call nests deeper than this one, whatever ``n``.
+    """
+    pending: list[tuple] = [(a, q)]  # pairs to split, and (order, k, t) merges
+    done: list[tuple[np.ndarray, np.ndarray]] = []  # terms of finished halves
+    while pending:
+        item = pending.pop()
+        if len(item) == 3:
+            w_r, p_r = done.pop()
+            w_l, p_l = done.pop()
+            done.append(_merge_halves(w_l, p_l, w_r, p_r, *item))
+            continue
+        a, q = item
+        if len(a) == 1:
+            done.append((np.ones(1), np.zeros((1, 1), dtype=np.intp)))
+            continue
+        x, order, k, t = _split(a, q)
+        pending += [(order, k, t), (x[k:], q[k:]), (x[:k], q[:k])]
+    return done[0]
+
+
+def _split(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Split of a pair ``a < q`` (``n >= 2``) into two halves at ``k``.
+
+    A tight interior prefix splits the pair as it is (``t = 1``).  Otherwise
+    the ray from the vertex ``q`` through ``a`` leaves the permutahedron at
     ``x = q + t (a - q)``, on the first face where a top-``k`` sum of ``x``
     reaches ``sum(q[:k])``; Newton (Dinkelbach) steps on those sums find
-    ``t``, so ``a = x / t + (1 - 1/t) q`` and ``x`` splits at ``k``.  The
-    terms of the two halves are merged by cumulative weight, which gives at
-    most ``n1 + n2 - 1`` of them.
+    ``t``, so ``a = x / t + (1 - 1/t) q``.  Returns ``x`` sorted by ``order``
+    (``a`` itself when ``t = 1``), ``order``, ``k`` and ``t``.
     """
     n = len(a)
-    if n == 1:
-        return np.ones(1), np.zeros((1, 1), dtype=np.intp)
     head_q = np.cumsum(q)
     gap = np.cumsum(a) - head_q
     # A prefix within the totals' mismatch (plus roundoff) of tight counts as
     # tight; otherwise a[-1] > q[-1], so the walk below has step[-1] > 0.
     slack = abs(gap[-1]) + n * np.finfo(float).eps * head_q[-1]
     k = int(np.argmax(gap[:-1])) + 1
-    order, t = np.arange(n), 1.0
-    if gap[k - 1] < -slack:
-        step = a - q
-        t = (q[0] - q[-1]) / step[-1]  # where the last entry of x reaches q[0]
-        while True:
-            x = q + t * step
-            order = np.argsort(-x, kind="stable")
-            k = int(np.argmax(np.cumsum(x[order])[:-1] - head_q[:-1])) + 1
-            t_next = (head_q[k - 1] - q[order[:k]].sum()) / step[order[:k]].sum()
-            if not 1.0 < t_next < t:
-                break
-            t = t_next
-        a = x[order]
-    w_l, p_l = _permutation_terms(a[:k], q[:k])
-    w_r, p_r = _permutation_terms(a[k:], q[k:])
+    if gap[k - 1] >= -slack:
+        return a, np.arange(n), k, 1.0
+    step = a - q
+    t = (q[0] - q[-1]) / step[-1]  # where the last entry of x reaches q[0]
+    while True:
+        x = q + t * step
+        order = np.argsort(-x, kind="stable")
+        k = int(np.argmax(np.cumsum(x[order])[:-1] - head_q[:-1])) + 1
+        t_next = (head_q[k - 1] - q[order[:k]].sum()) / step[order[:k]].sum()
+        if not 1.0 < t_next < t:
+            break
+        t = t_next
+    return x[order], order, k, t
+
+
+def _merge_halves(w_l, p_l, w_r, p_r, order, k, t) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of a pair split by ``_split`` from the terms of its two halves.
+
+    The halves' terms are merged by cumulative weight, the permutations are
+    mapped back through ``order``, and for ``t > 1`` the vertex ``q`` (the
+    identity) joins with weight ``1 - 1/t``.
+    """
+    n = len(order)
     cuts_l, cuts_r = np.cumsum(w_l)[:-1], np.cumsum(w_r)[:-1]
     edges = np.concatenate(([0.0], np.sort(np.concatenate((cuts_l, cuts_r))), [1.0]))
     live = np.diff(edges) > 0.0

@@ -3,8 +3,13 @@
 ``verify`` recomputes every defining identity of a synthesized protocol and
 reports the residuals.  It takes every operator norm from the Hermitian
 eigenvalues of a Gram matrix (or of a defect that is Hermitian already)
-rather than from an SVD, and works on the stage-1 outcomes stacked in chunks
-of ``_VERIFY_CHUNK``, which bound its memory.
+rather than from an SVD.  The protocol's data picks how stage 1 is checked:
+a protocol from ``synthesize`` carries its Schmidt frame, and stage 1 is
+checked there in O(d^3 + K d), each residual reported as an upper bound on
+the dense one (the frame term plus the basis and reconstruction defects,
+see ``_frame_stage_one``); any other protocol is checked on its dense
+operators, stacked in chunks of ``_VERIFY_CHUNK``, which bound its memory.
+``M0`` and stage 2 are checked densely either way.
 
 ``run_once``/``estimate`` execute the protocol as a sampled measurement with
 classical communication.  Outcome probabilities are always recomputed from
@@ -101,10 +106,15 @@ def _hermitian_norms(h: np.ndarray) -> np.ndarray:
     return np.maximum(-e[..., 0], e[..., -1])
 
 
+def _gram(m: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of each matrix in ``m``; its norm is the square of ``||m||``."""
+    adj = np.conj(np.swapaxes(m, -1, -2))
+    return m @ adj if m.shape[-2] <= m.shape[-1] else adj @ m
+
+
 def _opnorms(m: np.ndarray) -> np.ndarray:
     """Operator norms of a stack of matrices, from the eigenvalues of the smaller Gram."""
-    adj = np.conj(np.swapaxes(m, -1, -2))
-    return np.sqrt(_hermitian_norms(m @ adj if m.shape[-2] <= m.shape[-1] else adj @ m))
+    return np.sqrt(_hermitian_norms(_gram(m)))
 
 
 def _outcome_chunks(outcomes, amp: np.ndarray):
@@ -117,36 +127,33 @@ def _outcome_chunks(outcomes, amp: np.ndarray):
         yield start, m, u, root_q, m @ amp @ np.swapaxes(u, 1, 2)
 
 
-def verify(
-    protocol: LoccProtocol,
-    a_state: BipartiteState,
-    b_state: BipartiteState,
-    tol: float = VERIFY_TOL,
-) -> VerificationReport:
-    """Check every identity a valid protocol must satisfy.
+def _stacked_hermitian_norms(mats: list[np.ndarray]) -> np.ndarray:
+    """``_hermitian_norms`` of each matrix, with one eigensolve call per distinct shape."""
+    out = np.empty(len(mats))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(i)
+    for idx in groups.values():
+        out[idx] = _hermitian_norms(np.array([mats[i] for i in idx]))
+    return out
 
-    The intermediate state of a probabilistic protocol is reconstructed as
-    the weighted average of the stage-1 branch outputs, so a corrupted
-    operator shows up either in the branch residuals, in completeness, or in
-    the stage-2 map residual.
 
-    Every operator norm is the largest |eigenvalue| of a Hermitian matrix:
-    ``||X||`` is the square root of the top eigenvalue of the smaller Gram
-    matrix ``X X'`` or ``X'X``, and the completeness and unitarity defects
-    are Hermitian already.  Outcomes are stacked ``_VERIFY_CHUNK`` at a time,
-    which bounds the memory; a stage-2 protocol sums its intermediate state
-    in a first sweep and recomputes the branches in the second, so no list of
-    K dense branches is kept.
-    """
+class _StageOneChecks(NamedTuple):
+    """Stage-1 residuals, the intermediate state and a bound on its error."""
+
+    per_outcome: np.ndarray
+    unitarity: np.ndarray
+    m_norms: np.ndarray
+    m0_norm: float
+    completeness: float
+    target: np.ndarray
+    target_slack: float
+
+
+def _dense_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: BipartiteState):
+    """Stage 1 checked on the dense operators, stacked ``_VERIFY_CHUNK`` outcomes at a time."""
     da, db = protocol.dims
-    if a_state.dims != (da, db) or b_state.dims != (da, db):
-        raise InvalidInputError("state dimensions do not match the protocol")
-
-    s2 = protocol.stage2
-    weights = [out.q for out in protocol.outcomes] + ([] if s2 is None else [s2.p])
-    if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails both comparisons
-        raise InvalidInputError("stage-1 weights q and the stage-2 p must lie in [0, 1]")
-    if s2 is None:
+    if protocol.stage2 is None:
         target = b_state.amp
     else:
         target = np.zeros((da, db), dtype=complex)
@@ -167,8 +174,119 @@ def verify(
         m_norms[start:stop] = np.sqrt(_hermitian_norms(gram))
         u_defects[start:stop] = _hermitian_norms(np.conj(np.swapaxes(u, 1, 2)) @ u - ident_b)
         per_outcome[start:stop] = _opnorms(branches - root_q[:, None, None] * target)
-    completeness = _hermitian_norms(acc - ident_a)
+    completeness = float(_hermitian_norms(acc - ident_a))
+    return _StageOneChecks(per_outcome, u_defects, m_norms, m0_norm, completeness, target, 0.0)
 
+
+def _frobenius(m: np.ndarray) -> float:
+    """Frobenius norm, an upper bound on the operator norm."""
+    return math.sqrt(np.vdot(m, m).real)
+
+
+def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: BipartiteState):
+    """Stage 1 checked in the Schmidt frame: O(d^3) once, then O(d) per outcome.
+
+    With ``M_k = X_Q E_k X_A'``, ``U_k^T = Y_A' P_k' Y_Q`` and ``A = X_A S_A Y_A``,
+    each identity is a diagonal one in the frame plus terms that vanish with
+    the basis defects ``e = ||X'X - I||`` and the reconstruction residual
+    ``rho = ||A - X_A S_A Y_A||`` (and ``rho_B`` for B, the target of a
+    deterministic protocol), all measured here on the given states in the
+    Frobenius norm, which bounds the operator norm.  Every reported residual
+    is the frame term plus those terms, an upper bound on the residual of
+    the dense operators.  ``M0`` and the completeness sum stay dense:
+    ``M0'M0 + X_A diag(sum_k E_k'E_k) X_A' - I``.
+    """
+    f = protocol.frame
+    da, db = protocol.dims
+    r, ident_a, ident_b = f.r, np.eye(da), np.eye(db)
+    scale = f.scales()
+    g = np.einsum("ki,ki->i", scale, scale)  # diagonal of sum_k E_k'E_k
+    x_a, x_q, perms = f.x_a[:, :r], f.x_q[:, :r], f.perms[:, :r]
+    e_xa, e_xq = (_frobenius(x.conj().T @ x - ident_a) for x in (f.x_a, f.x_q))
+    e_ya, e_yq = (_frobenius(y.conj().T @ y - ident_b) for y in (f.y_a, f.y_q))
+    rho_a = _frobenius((x_a * f.sigma_a) @ f.y_a[:r] - a_state.amp)
+    m0_gram = protocol.M0.conj().T @ protocol.M0
+    m0_norm, completeness = _hermitian_norms(
+        np.array((m0_gram, m0_gram + (x_a * g) @ x_a.conj().T - ident_a))
+    ).tolist()
+
+    # Up to those terms, branch k is X_Q diag(c) Y_Q with c[perms[k, i]] = coeffs[k, i].
+    root_q = np.sqrt(f.weights)
+    coeffs = scale * f.sigma_a
+    e_norms = scale.max(axis=1)  # ||E_k||
+    gain = math.sqrt((1.0 + e_xq) * (1.0 + e_yq))  # bounds ||X_Q|| ||Y_Q||
+    # ||M_k A U_k^T - X_Q diag(c) Y_Q|| <= gain * e_norms[k] * delta
+    delta = (f.sigma_a[0] * (e_xa + e_ya + e_xa * e_ya)
+             + math.sqrt((1.0 + e_xa) * (1.0 + e_ya)) * rho_a)
+    branch_err = gain * delta * e_norms
+    if protocol.stage2 is None:
+        target, target_slack = b_state.amp, 0.0
+        rho_b = _frobenius((x_q * f.sigma_q) @ f.y_q[:r] - b_state.amp)
+        frame_res = np.abs(coeffs - root_q[:, None] * f.sigma_q[perms]).max(axis=1)
+        per_outcome = gain * frame_res + branch_err + root_q * rho_b
+    else:
+        mixture = np.bincount(perms.ravel(), (root_q[:, None] * coeffs).ravel(), r)
+        target = (x_q * mixture) @ f.y_q[:r]
+        target_slack = float(root_q @ branch_err)
+        frame_res = np.abs(coeffs - root_q[:, None] * mixture[perms]).max(axis=1)
+        per_outcome = gain * frame_res + branch_err + root_q * target_slack
+    return _StageOneChecks(
+        per_outcome=per_outcome,
+        unitarity=np.full(len(root_q), e_ya + (1.0 + e_ya) * e_yq),
+        m_norms=math.sqrt((1.0 + e_xq) * (1.0 + e_xa)) * e_norms,
+        m0_norm=math.sqrt(m0_norm),
+        completeness=completeness + (1.0 + e_xa) * e_xq * float(g.max()),
+        target=target,
+        target_slack=target_slack,
+    )
+
+
+def verify(
+    protocol: LoccProtocol,
+    a_state: BipartiteState,
+    b_state: BipartiteState,
+    tol: float = VERIFY_TOL,
+) -> VerificationReport:
+    """Check every identity a valid protocol must satisfy.
+
+    The intermediate state of a probabilistic protocol is reconstructed as
+    the weighted average of the stage-1 branch outputs, so a corrupted
+    operator shows up either in the branch residuals, in completeness, or in
+    the stage-2 map residual.
+
+    Every operator norm is the largest |eigenvalue| of a Hermitian matrix:
+    ``||X||`` is the square root of the top eigenvalue of the smaller Gram
+    matrix ``X X'`` or ``X'X``, and the completeness and unitarity defects
+    are Hermitian already.
+
+    The protocol's data picks how stage 1 is checked.  A synthesized
+    protocol carries its Schmidt frame, and stage 1 is checked there (see
+    ``_frame_stage_one``): each stage-1 residual is reported as an upper
+    bound on the dense one, the intermediate state comes from the frame and
+    the stage-2 map residual adds the bound on its error.  Any other
+    protocol is checked on its dense operators, stacked ``_VERIFY_CHUNK``
+    at a time, which bounds the memory; a stage-2 protocol sums its
+    intermediate state in a first sweep and recomputes the branches in the
+    second, so no list of K dense branches is kept.  ``M0`` and stage 2 are
+    checked densely either way.
+    """
+    da, db = protocol.dims
+    if a_state.dims != (da, db) or b_state.dims != (da, db):
+        raise InvalidInputError("state dimensions do not match the protocol")
+
+    s2 = protocol.stage2
+    f = protocol.frame
+    weights = f.weights.tolist() if f is not None else [out.q for out in protocol.outcomes]
+    if s2 is not None:
+        weights.append(s2.p)
+    if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails both comparisons
+        raise InvalidInputError("stage-1 weights q and the stage-2 p must lie in [0, 1]")
+    stage_one = _dense_stage_one if f is None else _frame_stage_one
+    per_outcome, u_defects, m_norms, m0_norm, completeness, target, target_slack = stage_one(
+        protocol, a_state, b_state
+    )
+
+    ident_a, ident_b = np.eye(da), np.eye(db)
     unitarity = u_defects.tolist()
     norms = np.maximum(m_norms - 1.0, 0.0).tolist()
     norms.append(max(0.0, m0_norm - 1.0))
@@ -177,13 +295,18 @@ def verify(
         stage2_residual = 0.0
         balance = 0.0
     else:
-        unitarity.append(float(_hermitian_norms(s2.V.conj().T @ s2.V - ident_b)))
-        norms.append(max(0.0, float(_opnorms(s2.N)) - 1.0))
-        map_defect = _opnorms(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp)
-        completion = _hermitian_norms(
-            s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - ident_a
-        )
-        stage2_residual = max(float(map_defect), float(completion))
+        v_defect, n_norm, map_defect, completion = _stacked_hermitian_norms([
+            s2.V.conj().T @ s2.V - ident_b,
+            _gram(s2.N),
+            _gram(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp),
+            s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - ident_a,
+        ]).tolist()
+        n_norm, map_defect = math.sqrt(n_norm), math.sqrt(map_defect)
+        unitarity.append(v_defect)
+        norms.append(max(0.0, n_norm - 1.0))
+        if target_slack:
+            map_defect += n_norm * math.sqrt(1.0 + v_defect) * target_slack
+        stage2_residual = max(map_defect, completion)
 
         norm_t = float(np.linalg.norm(target))
         inter = BipartiteState(target / norm_t) if norm_t > 0 else None

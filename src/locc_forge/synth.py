@@ -19,11 +19,20 @@ intermediate spectrum that average to the source spectrum (Uhlmann mixing,
 one outcome per permutation), with no bistochastic matrix or Birkhoff
 step.  Both stages are built from one Schmidt decomposition per state, and
 every rank cutoff, ``p_max``'s zero test included, is ``bipartite``'s one.
+
+A synthesized protocol keeps stage 1 in the Schmidt frame of A and Q (the
+bases, the spectra, the weights and one permutation per outcome, O(d^2)
+numbers); its ``outcomes`` builds each dense ``M``/``U`` on first access
+with the frame's expressions and caches it read-only, and ``verify``
+checks stage 1 from the frame without building them.  A protocol given
+any other ``outcomes`` has no frame and is checked densely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +129,7 @@ def feasibility(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Fe
     return FeasibilityReport(
         p_requested=p if isinstance(p, str) else float(p),
         p_max=p_max,
-        deterministic_ok=majorize.compare(a, b, "maj"),
+        deterministic_ok=bool(p_max == 1.0),
         rank_ok=_spectral_rank(a) >= _spectral_rank(b),
         super_maj_ok_at_p=majorize.compare(a, p_num * b, "super"),
         pure_necessary_ok_at_p=majorize.compare(p_num * b, a, "sub"),
@@ -183,20 +192,18 @@ def uhlmann_decompose(c, d) -> list[tuple[float, np.ndarray]]:
     e_d, u_d = hermitian_eigs(dm)
     if not majorize.compare(e_c, e_d, "maj"):
         raise InfeasibleError("eigenvalues(c) are not majorized by eigenvalues(d)")
-    terms, _ = _mixing_terms(np.clip(e_c, 0.0, None), np.clip(e_d, 0.0, None), cm.shape[0])
-    return [(w, u_c @ u_d[:, pi].conj().T) for w, pi in terms]
+    weights, perms, _ = _mixing_terms(np.clip(e_c, 0.0, None), np.clip(e_d, 0.0, None), cm.shape[0])
+    return [(float(w), u_c @ u_d[:, pi].conj().T) for w, pi in zip(weights, perms)]
 
 
-def _mixing_terms(
-    a: np.ndarray, q: np.ndarray, n: int
-) -> tuple[list[tuple[float, np.ndarray]], np.ndarray]:
+def _mixing_terms(a: np.ndarray, q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Permutation terms routing spectrum ``q`` onto spectrum ``a`` (``a < q``).
 
     Works on the block of the spectral rank of ``a``, so there are at most
-    that many terms.  Each permutation ``pi`` acts on sorted indices,
-    ``(P q)[i] == q[pi[i]]``, and is extended by the identity to length ``n``.
-    Also returns the mixture ``sum w P q`` the terms extract on the block
-    (``a`` up to roundoff), zero beyond it.
+    that many terms.  Returns the weights, the permutations as rows, each
+    acting on sorted indices, ``(P q)[i] == q[pi[i]]``, and extended by the
+    identity to length ``n``, and the mixture ``sum w P q`` the terms extract
+    on the block (``a`` up to roundoff), zero beyond it.
     """
     a_s = np.sort(a)[::-1]
     q_s = np.sort(q)[::-1]
@@ -205,8 +212,8 @@ def _mixing_terms(
     weights, perms = majorize._permutation_terms(a_s[:block], q_s[:block])
     mixture = np.zeros(a_s.size)
     mixture[:block] = weights @ q_s[perms]
-    tail = np.arange(block, n)
-    return [(float(w), np.concatenate([perm, tail])) for w, perm in zip(weights, perms)], mixture
+    tail = np.broadcast_to(np.arange(block, n), (len(weights), n - block))
+    return weights, np.hstack((perms, tail)), mixture
 
 
 @dataclass(frozen=True)
@@ -229,21 +236,107 @@ class StageTwo:
     N_fail: np.ndarray
 
 
+class _StageOneFrame(NamedTuple):
+    """Stage 1 in the Schmidt bases of A and Q, from which every ``M``/``U`` follows.
+
+    ``amp_A = x_a diag(sigma_a) y_a`` and ``amp_Q = x_q diag(sigma_q) y_q``
+    (Q shares B's bases).  Outcome ``k`` has weight ``weights[k]`` and
+    permutation ``perms[k]``: ``M_k`` sends A's ``i``-th left Schmidt vector,
+    ``i < r``, to ``scales()[k, i]`` times Q's ``perms[k, i]``-th, and
+    ``U_k* = y_q' P_k y_a``.  ``inv_s`` is ``1/sqrt(s)`` on the coordinates
+    the mixture ``s`` covers and 0 elsewhere.
+    """
+
+    x_a: np.ndarray
+    y_a: np.ndarray
+    x_q: np.ndarray
+    y_q: np.ndarray
+    sigma_a: np.ndarray
+    sigma_q: np.ndarray
+    weights: np.ndarray
+    perms: np.ndarray
+    inv_s: np.ndarray
+    r: int
+
+    def scales(self) -> np.ndarray:
+        """``K x r`` factors ``sqrt(w_k) sigma_Q[pi_k(i)] / sqrt(s_i)``, the ``M_k`` entries
+        in the Schmidt frame (all its nonzero ones)."""
+        return np.sqrt(self.weights)[:, None] * self.sigma_q[self.perms[:, :self.r]] * self.inv_s
+
+
+class _FrameOutcomes(Sequence):
+    """Read-only stage-1 outcomes of a frame, each built on first access and cached.
+
+    Slices are tuples; the cached ``M`` and ``U`` are not writeable.
+    """
+
+    def __init__(self, frame: _StageOneFrame):
+        self.frame = frame
+        self._cache: list[StageOneOutcome | None] = [None] * len(frame.weights)
+        self._all: tuple[StageOneOutcome, ...] | None = None
+        self._adjoints: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self._cache)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        out = self._cache[k]
+        if out is None:
+            k = range(len(self))[k]
+            out = self._cache[k] = self._build(k)
+        return out
+
+    def __iter__(self):
+        # Iteration builds every outcome, so it runs over one tuple of them.
+        if self._all is None:
+            self._all = self[:]
+        return iter(self._all)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} stage-1 outcomes in the Schmidt frame>"
+
+    def _build(self, k: int) -> StageOneOutcome:
+        f = self.frame
+        if self._adjoints is None:
+            self._adjoints = (f.x_a[:, :f.r].conj().T, f.y_q.conj().T)
+        x_a_adj, y_q_adj = self._adjoints
+        w, pi = f.weights[k], f.perms[k]
+        m = (f.x_q[:, pi[:f.r]] * (np.sqrt(w) * f.sigma_q[pi[:f.r]] * f.inv_s)) @ x_a_adj
+        u = (y_q_adj[:, pi] @ f.y_a).conj()
+        m.flags.writeable = False
+        u.flags.writeable = False
+        return StageOneOutcome(q=float(w), M=m, U=u)
+
+
 @dataclass(frozen=True)
 class LoccProtocol:
-    """Explicit operators of a synthesized one-way protocol."""
+    """Explicit operators of a synthesized one-way protocol.
 
-    outcomes: tuple[StageOneOutcome, ...]
+    A synthesized protocol keeps stage 1 as its Schmidt ``frame`` and
+    ``outcomes`` is that frame's lazy view; any other ``outcomes`` (a
+    protocol file, a hand-built or ``dataclasses.replace``-d one) drops the
+    frame, so ``verify`` checks it densely.
+    """
+
+    outcomes: Sequence[StageOneOutcome]
     M0: np.ndarray
     stage2: StageTwo | None
     dims: tuple[int, int]
     p_total: float
     source_digest: str | None = None
     target_digest: str | None = None
+    frame: _StageOneFrame | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        view = self.outcomes
+        if not (isinstance(view, _FrameOutcomes) and view.frame is self.frame):
+            object.__setattr__(self, "frame", None)
 
 
-def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[list[StageOneOutcome], np.ndarray]:
-    """Stage-1 outcomes and ``M0`` from the Schmidt forms of A and Q.
+def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_StageOneFrame, np.ndarray]:
+    """Stage-1 frame and ``M0`` from the Schmidt forms of A and Q.
 
     In the Schmidt bases ``M = sqrt(w) Sigma_Q P S^(-1/2)`` and ``U*`` is a
     permutation, so both are column gathers.  ``s = sum_k w_k P_k q`` is the
@@ -254,20 +347,20 @@ def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[list[StageOneOutcome],
     """
     da, db = fa.left_basis.shape[0], fa.right_basis.shape[0]
     r = fa.coeffs.size
-    terms, s = _mixing_terms(fa.coeffs**2, fq.coeffs**2, db)
+    weights, perms, s = _mixing_terms(fa.coeffs**2, fq.coeffs**2, db)
     keep = s > 0.0
     inv_s = np.where(keep, 1.0 / np.sqrt(np.where(keep, s, 1.0)), 0.0)
-    x_a_adj = fa.left_basis[:, :r].conj().T
-    y_q_adj = fq.right_basis.conj().T
-    outcomes = []
-    for w, pi in terms:
-        m = (fq.left_basis[:, pi[:r]] * (np.sqrt(w) * fq.coeffs[pi[:r]] * inv_s)) @ x_a_adj
-        u = (y_q_adj[:, pi] @ fa.right_basis).conj()
-        outcomes.append(StageOneOutcome(q=w, M=m, U=u))
+    frame = _StageOneFrame(
+        x_a=fa.left_basis, y_a=fa.right_basis, x_q=fq.left_basis, y_q=fq.right_basis,
+        sigma_a=fa.coeffs, sigma_q=fq.coeffs, weights=weights, perms=perms, inv_s=inv_s, r=r,
+    )
+    for value in frame:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
     null = np.ones(da, dtype=bool)
     null[:r] = ~keep
     x_null = fa.left_basis[:, null]
-    return outcomes, x_null @ x_null.conj().T
+    return frame, x_null @ x_null.conj().T
 
 
 def _stage_two(
@@ -302,7 +395,8 @@ def deterministic_stage(
     fq = schmidt(q_state)
     if not majorize.compare(fa.coeffs**2, fq.coeffs**2, "maj"):
         raise InfeasibleError("spectrum(A) is not majorized by spectrum(Q)")
-    return _stage_one(fa, fq)
+    frame, m0 = _stage_one(fa, fq)
+    return list(_FrameOutcomes(frame)), m0
 
 
 def final_contraction(
@@ -349,22 +443,23 @@ def synthesize(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Loc
     fa = schmidt(a_state)
     fb = schmidt(b_state)
     if p_num == 1.0:
-        outcomes, m0 = _stage_one(fa, fb)
+        frame, m0 = _stage_one(fa, fb)
         stage2 = None
     else:
         coeffs_q = np.sqrt(_intermediate(fb.coeffs**2, p_num))
         fq = SchmidtForm(left_basis=fb.left_basis, coeffs=coeffs_q, right_basis=fb.right_basis)
-        outcomes, m0 = _stage_one(fa, fq)
+        frame, m0 = _stage_one(fa, fq)
         stage2 = StageTwo(p_num, *_stage_two(fq, fb, p_num))
 
     return LoccProtocol(
-        outcomes=tuple(outcomes),
+        outcomes=_FrameOutcomes(frame),
         M0=m0,
         stage2=stage2,
         dims=a_state.dims,
         p_total=float(p_num),
         source_digest=a_state.digest,
         target_digest=b_state.digest,
+        frame=frame,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -96,15 +97,21 @@ def test_synthesize_verify_pipeline(state_files, tmp_path):
     assert doc["max_residual"] <= 1e-9
 
     # a protocol round-tripped through the file verifies bit-identically to
-    # the in-memory object it was serialized from
+    # the dense operators of the in-memory object it was serialized from; the
+    # in-memory object itself is checked in its Schmidt frame, whose
+    # residuals bound the dense ones
     in_memory_proto = synthesize(load_state(skew_path), load_state(bell_path), 0.4)
     resaved = tmp_path / "resaved.json"
     resaved.write_text(json.dumps(protocol_to_dict(in_memory_proto)))
     loaded = load_protocol(str(resaved))
-    in_memory = verify(in_memory_proto, SKEW, BELL)
+    dense_proto = dataclasses.replace(in_memory_proto, outcomes=tuple(in_memory_proto.outcomes))
+    in_memory = verify(dense_proto, SKEW, BELL)
     reloaded = verify(loaded, SKEW, BELL)
     assert reloaded.max_residual == in_memory.max_residual
     assert reloaded.as_dict() == in_memory.as_dict()
+    framed = verify(in_memory_proto, SKEW, BELL)
+    assert framed.passed == reloaded.passed
+    assert framed.max_residual >= reloaded.max_residual - 1e-14
 
 
 def test_verify_detects_corruption(state_files, tmp_path):

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from locc_forge import majorize
 from locc_forge.errors import InfeasibleError, InvalidInputError, NumericalDegeneracyError
 from locc_forge.majorize import (
     BirkhoffDecomposition,
@@ -277,11 +280,49 @@ def test_permutation_terms_at_most_n():
             assert np.abs(weights @ q[perms] - a).max() <= 1e-12, (kind, d)
 
 
+def _recursive_terms(a, q):
+    """Reference: the recursion that the explicit stack of _permutation_terms runs."""
+    if len(a) == 1:
+        return np.ones(1), np.zeros((1, 1), dtype=np.intp)
+    x, order, k, t = majorize._split(a, q)
+    left, right = _recursive_terms(x[:k], q[:k]), _recursive_terms(x[k:], q[k:])
+    return majorize._merge_halves(*left, *right, order, k, t)
+
+
+def test_permutation_terms_equal_recursive_reference():
+    rng = np.random.default_rng(23)
+    for kind in ("dense", "sparse", "tied", "rank-drop"):
+        for d in range(1, 33):
+            a, q = _link_spectrum(kind, d, rng)
+            weights, perms = _permutation_terms(a, q)
+            ref_weights, ref_perms = _recursive_terms(a, q)
+            assert weights.tobytes() == ref_weights.tobytes(), (kind, d)
+            assert np.array_equal(perms, ref_perms), (kind, d)
+
+
 def test_permutation_terms_equal_vectors_one_term():
     for q in ([1.0], [0.5, 0.3, 0.2], [0.4, 0.2, 0.2, 0.2, 0.0]):
         weights, perms = _permutation_terms(np.array(q), np.array(q))
         assert weights.tolist() == [1.0]
         assert perms.tolist() == [list(range(len(q)))]
+
+
+def test_permutation_terms_need_no_recursion():
+    # Splitting the uniform vector off e_1 takes n - 1 nested splits; they
+    # run from an explicit stack, so a recursion limit far below n is enough.
+    n = 300
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        link = bistochastic_link(np.full(n, 1.0 / n), np.eye(n)[0])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert np.abs(link[:, 0] - 1.0 / n).max() <= 1e-12
+    assert np.abs(link.sum(axis=0) - 1.0).max() <= 1e-12
+    assert np.abs(link.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

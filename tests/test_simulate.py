@@ -150,16 +150,24 @@ def _reference_verify(protocol, a_state, b_state, tol=1e-9):
     return dataclasses.replace(report, passed=bool(report.max_residual <= tol))
 
 
+def _dense(protocol):
+    """The same operators without the Schmidt frame, so ``verify`` checks them densely."""
+    return dataclasses.replace(protocol, outcomes=tuple(protocol.outcomes))
+
+
 def _assert_matches_reference(protocol, a_state, b_state):
-    report = verify(protocol, a_state, b_state)
+    """``verify`` agrees with the SVD reference, on the dense path too for a framed protocol."""
     ref = _reference_verify(protocol, a_state, b_state)
-    assert report.passed == ref.passed
-    assert report.tol == ref.tol
-    for field in dataclasses.fields(VerificationReport):
-        got, want = getattr(report, field.name), getattr(ref, field.name)
-        got, want = np.atleast_1d(got).astype(float), np.atleast_1d(want).astype(float)
-        assert got.shape == want.shape, field.name
-        assert np.all(np.abs(got - want) <= 1e-13 + 1e-12 * np.abs(want)), field.name
+    protocols = [protocol] if protocol.frame is None else [_dense(protocol), protocol]
+    for proto in protocols:
+        report = verify(proto, a_state, b_state)
+        assert report.passed == ref.passed
+        assert report.tol == ref.tol
+        for field in dataclasses.fields(VerificationReport):
+            got, want = getattr(report, field.name), getattr(ref, field.name)
+            got, want = np.atleast_1d(got).astype(float), np.atleast_1d(want).astype(float)
+            assert got.shape == want.shape, field.name
+            assert np.all(np.abs(got - want) <= 1e-13 + 1e-12 * np.abs(want)), field.name
     return report
 
 
@@ -289,6 +297,95 @@ def test_verify_empty_protocol():
     report = verify(proto, BELL, SKEW)
     assert repr(report) == repr(VerificationReport(1.0, (), 0.0, (), (0.0,), 0.0, 1e-9, False))
     assert repr(report) == repr(_reference_verify(proto, BELL, SKEW))
+
+
+# ---------------------------------------------------------------------------
+# verify in the Schmidt frame against the dense operators
+# ---------------------------------------------------------------------------
+
+def _assert_frame_bounds_dense(proto, a, b):
+    """Frame and dense ``verify`` agree on ``passed``; every frame residual bounds
+    the dense one up to roundoff.  Returns the frame report."""
+    assert proto.frame is not None
+    dense = _dense(proto)
+    assert dense.frame is None
+    framed, checked = verify(proto, a, b), verify(dense, a, b)
+    assert framed.passed == checked.passed
+    for field in dataclasses.fields(VerificationReport):
+        if field.name in ("tol", "passed"):
+            continue
+        got = np.atleast_1d(getattr(framed, field.name)).astype(float)
+        want = np.atleast_1d(getattr(checked, field.name)).astype(float)
+        assert got.shape == want.shape, field.name
+        assert np.all(got >= want - 1e-14), field.name
+    return framed
+
+
+def test_frame_verify_bounds_dense_on_contract_reproducer():
+    failures = 0
+    for sa, sb in reproducer_pairs():
+        failures += not _assert_frame_bounds_dense(synthesize(sa, sb, "max"), sa, sb).passed
+    assert failures <= 4
+
+
+def _frame_cases(seed, count):
+    """Seeded square, wide, tall and rank-deficient pairs at d = 1..8."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = int(rng.integers(1, 9))
+        da, db = [(d, d), (d, d + 2), (d + 2, d), (d, d)][i % 4]
+        rank = int(rng.integers(1, d + 1)) if i % 4 == 3 else None
+        yield random_state(da, db, rng, rank=rank), random_state(da, db, rng)
+
+
+@pytest.mark.parametrize("request_p", ["max", "half"])
+def test_frame_verify_bounds_dense_on_seeded_pairs(request_p):
+    for sa, sb in _frame_cases(66, 200):
+        p_max = max_probability(sa, sb)
+        proto = synthesize(sa, sb, "max" if request_p == "max" else p_max / 2)
+        _assert_frame_bounds_dense(proto, sa, sb)
+
+
+def test_frame_verify_rejects_other_states_and_a_corrupted_m0():
+    # The frame is checked against the states verify is given, and M0
+    # stays dense, so neither a mismatched state nor a replaced M0 passes.
+    rng = np.random.default_rng(67)
+    sa, sb = random_state(4, 4, rng), random_state(4, 4, rng)
+    for p in (max_probability(sa, sb) / 2, "max"):
+        proto = synthesize(sa, sb, p)
+        other = random_state(4, 4, rng)
+        for a, b in ((other, sb), (sa, other)):
+            assert not verify(proto, a, b).passed
+            assert not verify(_dense(proto), a, b).passed
+        bad_m0 = dataclasses.replace(proto, M0=proto.M0 + 1e-3 * np.eye(4))
+        assert bad_m0.frame is proto.frame
+        assert not verify(bad_m0, sa, sb).passed
+    deterministic = synthesize(BELL, SKEW, 1.0)
+    swapped = type(SKEW)(SKEW.amp[:, ::-1])
+    assert not verify(deterministic, BELL, swapped).passed
+    assert not verify(_dense(deterministic), BELL, swapped).passed
+    with_null = dataclasses.replace(deterministic, M0=np.diag([0.0, 1e-3]))
+    assert not _assert_frame_bounds_dense(with_null, BELL, SKEW).passed
+
+
+def test_frame_outcomes_are_a_read_only_cached_view():
+    proto = synthesize(BELL, SKEW, 1.0)
+    outcomes = proto.outcomes
+    assert len(outcomes) == 2
+    first = outcomes[0]
+    assert outcomes[0] is first and outcomes[-2] is first
+    with pytest.raises(ValueError):
+        first.M[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        first.U[0, 0] = 1.0
+    with pytest.raises(IndexError):
+        outcomes[2]
+    rest = outcomes[1:]
+    assert type(rest) is tuple and rest[0] is outcomes[1]
+    assert list(outcomes) == [first, outcomes[1]]
+    replaced = dataclasses.replace(proto, outcomes=(first,) + rest)
+    assert replaced.frame is None
+    assert dataclasses.replace(proto, p_total=0.4).frame is proto.frame
 
 
 # ---------------------------------------------------------------------------

@@ -513,10 +513,20 @@ def test_pmax_on_tiny_schmidt_tails(a_spec, b_spec, p_max):
     a, b = from_schmidt(a_spec, 3, 3), from_schmidt(b_spec, 3, 3)
     report = feasibility(a, b)
     assert report.rank_ok == (p_max > 0.0)
+    assert report.deterministic_ok is False
     assert report.p_max == pytest.approx(p_max, rel=1e-12, abs=0.0)
     proto = synthesize(a, b, "max")
     assert proto.p_total == report.p_max
     assert verify(proto, a, b).passed
+
+
+def test_deterministic_ok_iff_one_stage():
+    # deterministic_ok is p_max == 1, so it never contradicts p_max, and a
+    # "max" protocol has a stage 2 exactly when it is False.
+    for a, b in itertools.chain(seeded_pairs(62, 300), reproducer_pairs(100)):
+        report = feasibility(a, b)
+        assert report.deterministic_ok == (report.p_max == 1.0)
+        assert report.deterministic_ok == (synthesize(a, b, "max").stage2 is None)
 
 
 def test_synthesize_operators_in_schmidt_frame():
