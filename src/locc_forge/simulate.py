@@ -4,12 +4,12 @@
 reports the residuals.  It takes every operator norm from the Hermitian
 eigenvalues of a Gram matrix (or of a defect that is Hermitian already)
 rather than from an SVD.  The protocol's data picks how stage 1 is checked:
-a protocol from ``synthesize`` carries its Schmidt frame, and stage 1 is
-checked there in O(d^3 + K d), each residual reported as an upper bound on
-the dense one (the frame term plus the basis and reconstruction defects,
-see ``_frame_stage_one``); any other protocol is checked on its dense
-operators, stacked in chunks of ``_VERIFY_CHUNK``, which bound its memory.
-``M0`` and stage 2 are checked densely either way.
+the outcomes of a protocol from ``synthesize`` carry their Schmidt frame,
+and stage 1 is checked there in O(d^3 + K d), each residual reported as an
+upper bound on the dense one (the frame term plus the basis and
+reconstruction defects, see ``_frame_stage_one``); any other protocol is
+checked on its dense operators, stacked in chunks of ``_VERIFY_CHUNK``,
+which bound its memory.  ``M0`` and stage 2 are checked densely either way.
 
 ``run_once``/``estimate`` execute the protocol as a sampled measurement with
 classical communication.  Outcome probabilities are always recomputed from
@@ -106,15 +106,10 @@ def _hermitian_norms(h: np.ndarray) -> np.ndarray:
     return np.maximum(-e[..., 0], e[..., -1])
 
 
-def _gram(m: np.ndarray) -> np.ndarray:
-    """The smaller Gram matrix of each matrix in ``m``; its norm is the square of ``||m||``."""
-    adj = np.conj(np.swapaxes(m, -1, -2))
-    return m @ adj if m.shape[-2] <= m.shape[-1] else adj @ m
-
-
 def _opnorms(m: np.ndarray) -> np.ndarray:
     """Operator norms of a stack of matrices, from the eigenvalues of the smaller Gram."""
-    return np.sqrt(_hermitian_norms(_gram(m)))
+    adj = np.conj(np.swapaxes(m, -1, -2))
+    return np.sqrt(_hermitian_norms(m @ adj if m.shape[-2] <= m.shape[-1] else adj @ m))
 
 
 def _outcome_chunks(outcomes, amp: np.ndarray):
@@ -125,17 +120,6 @@ def _outcome_chunks(outcomes, amp: np.ndarray):
         u = np.array([out.U for out in chunk])
         root_q = np.array([math.sqrt(out.q) for out in chunk])
         yield start, m, u, root_q, m @ amp @ np.swapaxes(u, 1, 2)
-
-
-def _stacked_hermitian_norms(mats: list[np.ndarray]) -> np.ndarray:
-    """``_hermitian_norms`` of each matrix, with one eigensolve call per distinct shape."""
-    out = np.empty(len(mats))
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, m in enumerate(mats):
-        groups.setdefault(m.shape, []).append(i)
-    for idx in groups.values():
-        out[idx] = _hermitian_norms(np.array([mats[i] for i in idx]))
-    return out
 
 
 class _StageOneChecks(NamedTuple):
@@ -196,7 +180,7 @@ def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: B
     the dense operators.  ``M0`` and the completeness sum stay dense:
     ``M0'M0 + X_A diag(sum_k E_k'E_k) X_A' - I``.
     """
-    f = protocol.frame
+    f = protocol.outcomes.frame
     da, db = protocol.dims
     r, ident_a, ident_b = f.r, np.eye(da), np.eye(db)
     scale = f.scales()
@@ -259,11 +243,16 @@ def verify(
     matrix ``X X'`` or ``X'X``, and the completeness and unitarity defects
     are Hermitian already.
 
-    The protocol's data picks how stage 1 is checked.  A synthesized
-    protocol carries its Schmidt frame, and stage 1 is checked there (see
-    ``_frame_stage_one``): each stage-1 residual is reported as an upper
-    bound on the dense one, the intermediate state comes from the frame and
-    the stage-2 map residual adds the bound on its error.  Any other
+    The protocol's data picks how stage 1 is checked.  The outcomes of a
+    synthesized protocol carry their Schmidt frame (``outcomes.frame``), and
+    stage 1 is checked there (see ``_frame_stage_one``): each stage-1
+    residual is reported as an upper bound on the dense one, the
+    intermediate state comes from the frame and the stage-2 map residual
+    adds the bound on its error.  This path checks the frame, not the
+    ``M``/``U`` arrays that ``run_once`` and ``estimate`` apply: it trusts
+    that they are the frame's, which holds because ``synthesize`` builds
+    them from it as read-only views that cannot be made writeable again
+    (only a write through their ``.base`` gets round that).  Any other
     protocol is checked on its dense operators, stacked ``_VERIFY_CHUNK``
     at a time, which bounds the memory; a stage-2 protocol sums its
     intermediate state in a first sweep and recomputes the branches in the
@@ -275,13 +264,10 @@ def verify(
         raise InvalidInputError("state dimensions do not match the protocol")
 
     s2 = protocol.stage2
-    f = protocol.frame
-    weights = f.weights.tolist() if f is not None else [out.q for out in protocol.outcomes]
-    if s2 is not None:
-        weights.append(s2.p)
+    weights = [out.q for out in protocol.outcomes] + ([] if s2 is None else [s2.p])
     if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails both comparisons
         raise InvalidInputError("stage-1 weights q and the stage-2 p must lie in [0, 1]")
-    stage_one = _dense_stage_one if f is None else _frame_stage_one
+    stage_one = _frame_stage_one if hasattr(protocol.outcomes, "frame") else _dense_stage_one
     per_outcome, u_defects, m_norms, m0_norm, completeness, target, target_slack = stage_one(
         protocol, a_state, b_state
     )
@@ -295,18 +281,17 @@ def verify(
         stage2_residual = 0.0
         balance = 0.0
     else:
-        v_defect, n_norm, map_defect, completion = _stacked_hermitian_norms([
-            s2.V.conj().T @ s2.V - ident_b,
-            _gram(s2.N),
-            _gram(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp),
-            s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - ident_a,
-        ]).tolist()
-        n_norm, map_defect = math.sqrt(n_norm), math.sqrt(map_defect)
+        v_defect = float(_hermitian_norms(s2.V.conj().T @ s2.V - ident_b))
+        n_norm = float(_opnorms(s2.N))
         unitarity.append(v_defect)
         norms.append(max(0.0, n_norm - 1.0))
+        map_defect = float(_opnorms(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp))
         if target_slack:
             map_defect += n_norm * math.sqrt(1.0 + v_defect) * target_slack
-        stage2_residual = max(map_defect, completion)
+        completion = _hermitian_norms(
+            s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - ident_a
+        )
+        stage2_residual = max(map_defect, float(completion))
 
         norm_t = float(np.linalg.norm(target))
         inter = BipartiteState(target / norm_t) if norm_t > 0 else None

@@ -20,18 +20,17 @@ one outcome per permutation), with no bistochastic matrix or Birkhoff
 step.  Both stages are built from one Schmidt decomposition per state, and
 every rank cutoff, ``p_max``'s zero test included, is ``bipartite``'s one.
 
-A synthesized protocol keeps stage 1 in the Schmidt frame of A and Q (the
-bases, the spectra, the weights and one permutation per outcome, O(d^2)
-numbers); its ``outcomes`` builds each dense ``M``/``U`` on first access
-with the frame's expressions and caches it read-only, and ``verify``
-checks stage 1 from the frame without building them.  A protocol given
-any other ``outcomes`` has no frame and is checked densely.
+The ``outcomes`` of a synthesized protocol carry the Schmidt frame of A
+and Q they were built from (the bases, the spectra, the weights and one
+permutation per outcome, O(d^2) numbers), and ``verify`` checks stage 1
+in that frame rather than on the dense ``M``/``U``, which are read-only.
+A protocol given any other ``outcomes`` has no frame and is checked
+densely.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -264,86 +263,48 @@ class _StageOneFrame(NamedTuple):
         return np.sqrt(self.weights)[:, None] * self.sigma_q[self.perms[:, :self.r]] * self.inv_s
 
 
-class _FrameOutcomes(Sequence):
-    """Read-only stage-1 outcomes of a frame, each built on first access and cached.
+class _FrameOutcomes(tuple):
+    """Stage-1 outcomes of a synthesized protocol, carrying the Schmidt ``frame``
+    they were built from.  Slices and copies are plain tuples, with no frame."""
 
-    Slices are tuples; the cached ``M`` and ``U`` are not writeable.
-    """
+    frame: _StageOneFrame
 
-    def __init__(self, frame: _StageOneFrame):
-        self.frame = frame
-        self._cache: list[StageOneOutcome | None] = [None] * len(frame.weights)
-        self._all: tuple[StageOneOutcome, ...] | None = None
-        self._adjoints: tuple[np.ndarray, np.ndarray] | None = None
 
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(*k.indices(len(self))))
-        out = self._cache[k]
-        if out is None:
-            k = range(len(self))[k]
-            out = self._cache[k] = self._build(k)
-        return out
-
-    def __iter__(self):
-        # Iteration builds every outcome, so it runs over one tuple of them.
-        if self._all is None:
-            self._all = self[:]
-        return iter(self._all)
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} stage-1 outcomes in the Schmidt frame>"
-
-    def _build(self, k: int) -> StageOneOutcome:
-        f = self.frame
-        if self._adjoints is None:
-            self._adjoints = (f.x_a[:, :f.r].conj().T, f.y_q.conj().T)
-        x_a_adj, y_q_adj = self._adjoints
-        w, pi = f.weights[k], f.perms[k]
-        m = (f.x_q[:, pi[:f.r]] * (np.sqrt(w) * f.sigma_q[pi[:f.r]] * f.inv_s)) @ x_a_adj
-        u = (y_q_adj[:, pi] @ f.y_a).conj()
-        m.flags.writeable = False
-        u.flags.writeable = False
-        return StageOneOutcome(q=float(w), M=m, U=u)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that cannot be made writeable again, since its base is not."""
+    a.flags.writeable = False
+    return a.view()
 
 
 @dataclass(frozen=True)
 class LoccProtocol:
     """Explicit operators of a synthesized one-way protocol.
 
-    A synthesized protocol keeps stage 1 as its Schmidt ``frame`` and
-    ``outcomes`` is that frame's lazy view; any other ``outcomes`` (a
-    protocol file, a hand-built or ``dataclasses.replace``-d one) drops the
-    frame, so ``verify`` checks it densely.
+    The ``outcomes`` of a synthesized protocol also carry its stage-1 Schmidt
+    frame (``outcomes.frame``), in which ``verify`` checks stage 1; any other
+    ``outcomes`` (from a protocol file, built by hand or put in with
+    ``dataclasses.replace``) carry none and are checked densely.
     """
 
-    outcomes: Sequence[StageOneOutcome]
+    outcomes: tuple[StageOneOutcome, ...]
     M0: np.ndarray
     stage2: StageTwo | None
     dims: tuple[int, int]
     p_total: float
     source_digest: str | None = None
     target_digest: str | None = None
-    frame: _StageOneFrame | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        view = self.outcomes
-        if not (isinstance(view, _FrameOutcomes) and view.frame is self.frame):
-            object.__setattr__(self, "frame", None)
 
 
-def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_StageOneFrame, np.ndarray]:
-    """Stage-1 frame and ``M0`` from the Schmidt forms of A and Q.
+def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_FrameOutcomes, np.ndarray]:
+    """Stage-1 outcomes, carrying their frame, and ``M0`` from the Schmidt forms of A and Q.
 
     In the Schmidt bases ``M = sqrt(w) Sigma_Q P S^(-1/2)`` and ``U*`` is a
     permutation, so both are column gathers.  ``s = sum_k w_k P_k q`` is the
     mixture the terms actually extract (``a`` up to roundoff), so
     ``sum M'M`` is exactly the projector onto the coordinates with ``s > 0``;
     ``M0`` projects onto every other left Schmidt vector of A, those beyond
-    the rank cutoff included.
+    the rank cutoff included.  The frame's arrays and every ``M``/``U`` are
+    read-only.
     """
     da, db = fa.left_basis.shape[0], fa.right_basis.shape[0]
     r = fa.coeffs.size
@@ -357,10 +318,19 @@ def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_StageOneFrame, np.nda
     for value in frame:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
+    x_a_adj = fa.left_basis[:, :r].conj().T
+    y_q_adj = fq.right_basis.conj().T
+    outcomes = []
+    for w, pi in zip(weights, perms):
+        m = (fq.left_basis[:, pi[:r]] * (np.sqrt(w) * fq.coeffs[pi[:r]] * inv_s)) @ x_a_adj
+        u = (y_q_adj[:, pi] @ fa.right_basis).conj()
+        outcomes.append(StageOneOutcome(q=float(w), M=_read_only(m), U=_read_only(u)))
+    outcomes = _FrameOutcomes(outcomes)
+    outcomes.frame = frame
     null = np.ones(da, dtype=bool)
     null[:r] = ~keep
     x_null = fa.left_basis[:, null]
-    return frame, x_null @ x_null.conj().T
+    return outcomes, x_null @ x_null.conj().T
 
 
 def _stage_two(
@@ -395,8 +365,8 @@ def deterministic_stage(
     fq = schmidt(q_state)
     if not majorize.compare(fa.coeffs**2, fq.coeffs**2, "maj"):
         raise InfeasibleError("spectrum(A) is not majorized by spectrum(Q)")
-    frame, m0 = _stage_one(fa, fq)
-    return list(_FrameOutcomes(frame)), m0
+    outcomes, m0 = _stage_one(fa, fq)
+    return list(outcomes), m0
 
 
 def final_contraction(
@@ -443,23 +413,22 @@ def synthesize(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Loc
     fa = schmidt(a_state)
     fb = schmidt(b_state)
     if p_num == 1.0:
-        frame, m0 = _stage_one(fa, fb)
+        outcomes, m0 = _stage_one(fa, fb)
         stage2 = None
     else:
         coeffs_q = np.sqrt(_intermediate(fb.coeffs**2, p_num))
         fq = SchmidtForm(left_basis=fb.left_basis, coeffs=coeffs_q, right_basis=fb.right_basis)
-        frame, m0 = _stage_one(fa, fq)
+        outcomes, m0 = _stage_one(fa, fq)
         stage2 = StageTwo(p_num, *_stage_two(fq, fb, p_num))
 
     return LoccProtocol(
-        outcomes=_FrameOutcomes(frame),
+        outcomes=outcomes,
         M0=m0,
         stage2=stage2,
         dims=a_state.dims,
         p_total=float(p_num),
         source_digest=a_state.digest,
         target_digest=b_state.digest,
-        frame=frame,
     )
 
 

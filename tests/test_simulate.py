@@ -150,17 +150,35 @@ def _reference_verify(protocol, a_state, b_state, tol=1e-9):
     return dataclasses.replace(report, passed=bool(report.max_residual <= tol))
 
 
+def _frame(protocol):
+    return getattr(protocol.outcomes, "frame", None)
+
+
 def _dense(protocol):
     """The same operators without the Schmidt frame, so ``verify`` checks them densely."""
     return dataclasses.replace(protocol, outcomes=tuple(protocol.outcomes))
 
 
+def _assert_frame_bounds_dense(framed, checked):
+    """The frame and dense reports agree on ``passed``, and every frame residual
+    bounds the dense one up to roundoff."""
+    assert framed.passed == checked.passed
+    for field in dataclasses.fields(VerificationReport):
+        if field.name in ("tol", "passed"):
+            continue
+        got = np.atleast_1d(getattr(framed, field.name)).astype(float)
+        want = np.atleast_1d(getattr(checked, field.name)).astype(float)
+        assert got.shape == want.shape, field.name
+        assert np.all(got >= want - 1e-14), field.name
+
+
 def _assert_matches_reference(protocol, a_state, b_state):
-    """``verify`` agrees with the SVD reference, on the dense path too for a framed protocol."""
+    """``verify`` agrees with the SVD reference, on the dense path too for a framed
+    protocol, whose frame report must also bound the dense one."""
     ref = _reference_verify(protocol, a_state, b_state)
-    protocols = [protocol] if protocol.frame is None else [_dense(protocol), protocol]
-    for proto in protocols:
-        report = verify(proto, a_state, b_state)
+    protocols = [protocol] if _frame(protocol) is None else [_dense(protocol), protocol]
+    reports = [verify(proto, a_state, b_state) for proto in protocols]
+    for report in reports:
         assert report.passed == ref.passed
         assert report.tol == ref.tol
         for field in dataclasses.fields(VerificationReport):
@@ -168,7 +186,9 @@ def _assert_matches_reference(protocol, a_state, b_state):
             got, want = np.atleast_1d(got).astype(float), np.atleast_1d(want).astype(float)
             assert got.shape == want.shape, field.name
             assert np.all(np.abs(got - want) <= 1e-13 + 1e-12 * np.abs(want)), field.name
-    return report
+    if len(reports) == 2:
+        _assert_frame_bounds_dense(reports[1], reports[0])
+    return reports[-1]
 
 
 def _corrupted(protocol, how, factor=1.5):
@@ -303,29 +323,14 @@ def test_verify_empty_protocol():
 # verify in the Schmidt frame against the dense operators
 # ---------------------------------------------------------------------------
 
-def _assert_frame_bounds_dense(proto, a, b):
-    """Frame and dense ``verify`` agree on ``passed``; every frame residual bounds
-    the dense one up to roundoff.  Returns the frame report."""
-    assert proto.frame is not None
+def _verify_framed(proto, a, b):
+    """``verify`` of a framed protocol, checked to bound its dense copy's report."""
+    assert _frame(proto) is not None
     dense = _dense(proto)
-    assert dense.frame is None
-    framed, checked = verify(proto, a, b), verify(dense, a, b)
-    assert framed.passed == checked.passed
-    for field in dataclasses.fields(VerificationReport):
-        if field.name in ("tol", "passed"):
-            continue
-        got = np.atleast_1d(getattr(framed, field.name)).astype(float)
-        want = np.atleast_1d(getattr(checked, field.name)).astype(float)
-        assert got.shape == want.shape, field.name
-        assert np.all(got >= want - 1e-14), field.name
+    assert _frame(dense) is None
+    framed = verify(proto, a, b)
+    _assert_frame_bounds_dense(framed, verify(dense, a, b))
     return framed
-
-
-def test_frame_verify_bounds_dense_on_contract_reproducer():
-    failures = 0
-    for sa, sb in reproducer_pairs():
-        failures += not _assert_frame_bounds_dense(synthesize(sa, sb, "max"), sa, sb).passed
-    assert failures <= 4
 
 
 def _frame_cases(seed, count):
@@ -343,7 +348,7 @@ def test_frame_verify_bounds_dense_on_seeded_pairs(request_p):
     for sa, sb in _frame_cases(66, 200):
         p_max = max_probability(sa, sb)
         proto = synthesize(sa, sb, "max" if request_p == "max" else p_max / 2)
-        _assert_frame_bounds_dense(proto, sa, sb)
+        _verify_framed(proto, sa, sb)
 
 
 def test_frame_verify_rejects_other_states_and_a_corrupted_m0():
@@ -358,34 +363,31 @@ def test_frame_verify_rejects_other_states_and_a_corrupted_m0():
             assert not verify(proto, a, b).passed
             assert not verify(_dense(proto), a, b).passed
         bad_m0 = dataclasses.replace(proto, M0=proto.M0 + 1e-3 * np.eye(4))
-        assert bad_m0.frame is proto.frame
+        assert _frame(bad_m0) is _frame(proto)
         assert not verify(bad_m0, sa, sb).passed
     deterministic = synthesize(BELL, SKEW, 1.0)
     swapped = type(SKEW)(SKEW.amp[:, ::-1])
     assert not verify(deterministic, BELL, swapped).passed
     assert not verify(_dense(deterministic), BELL, swapped).passed
     with_null = dataclasses.replace(deterministic, M0=np.diag([0.0, 1e-3]))
-    assert not _assert_frame_bounds_dense(with_null, BELL, SKEW).passed
+    assert not _verify_framed(with_null, BELL, SKEW).passed
 
 
-def test_frame_outcomes_are_a_read_only_cached_view():
+def test_frame_outcomes_are_read_only():
     proto = synthesize(BELL, SKEW, 1.0)
     outcomes = proto.outcomes
     assert len(outcomes) == 2
-    first = outcomes[0]
-    assert outcomes[0] is first and outcomes[-2] is first
-    with pytest.raises(ValueError):
-        first.M[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        first.U[0, 0] = 1.0
-    with pytest.raises(IndexError):
-        outcomes[2]
+    for out in outcomes:
+        for op in (out.M, out.U):
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                op.flags.writeable = True
     rest = outcomes[1:]
     assert type(rest) is tuple and rest[0] is outcomes[1]
-    assert list(outcomes) == [first, outcomes[1]]
-    replaced = dataclasses.replace(proto, outcomes=(first,) + rest)
-    assert replaced.frame is None
-    assert dataclasses.replace(proto, p_total=0.4).frame is proto.frame
+    replaced = dataclasses.replace(proto, outcomes=outcomes[:1] + rest)
+    assert _frame(replaced) is None
+    assert _frame(dataclasses.replace(proto, p_total=0.4)) is _frame(proto)
 
 
 # ---------------------------------------------------------------------------
