@@ -3,9 +3,11 @@
 Vectors here are entanglement spectra: non-negative weights, compared after
 sorting and zero-padding to a common length. The constructive half writes
 ``a < q`` as a mix of at most ``d`` permutations of ``q``, which is all
-synthesis needs; the bistochastic matrix of that mix, greedy Birkhoff
-extraction over perfect matchings and pruning to the Caratheodory bound
-``(d-1)**2 + 1`` remain as matrix-level reference tools.
+synthesis needs: the pair is split in halves down to single entries, and
+one sweep over the splits' breakpoints on the weight axis reads off the
+permutations and their weights. The bistochastic matrix of that mix,
+greedy Birkhoff extraction over perfect matchings and pruning to the
+Caratheodory bound ``(d-1)**2 + 1`` remain as matrix-level reference tools.
 """
 
 from __future__ import annotations
@@ -79,28 +81,48 @@ def _permutation_terms(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
 
     ``a`` and ``q`` are sorted non-increasing with ``a < q``, so ``a`` lies in
     the permutahedron of ``q`` (Rado) and at most ``n`` terms are needed.
-    Each pair is split in two (``_split``), down to single entries, and the
-    terms of the two halves are merged by cumulative weight
-    (``_merge_halves``), which gives at most ``n1 + n2 - 1`` of them.  The
+    Each pair is split in two (``_split``), down to single entries; the
     splits run from an explicit stack of pending pairs, left half first, so
     no call nests deeper than this one, whatever ``n``.
+
+    The terms are read off the split tree on one weight axis ``[0, 1)``.
+    The root owns all of it; a node owning ``[g0, g0 + span)`` splits at
+    ``b = g0 + span (1 - 1/t)``.  Before ``b`` its coordinates take its own
+    vertex (the identity on its slice of ``q``), and from ``b`` on its two
+    halves take over, each owning ``[b, b + span/t)``, which ends where the
+    node's interval ends.  One sweep over the sorted breakpoints, a parent
+    before its child on a tie, moves only the switching node's coordinates,
+    and the gaps between consecutive distinct breakpoints, closed at 1, are
+    the weights; a gap that rounding leaves at or below 0 is dropped.
     """
-    pending: list[tuple] = [(a, q)]  # pairs to split, and (order, k, t) merges
-    done: list[tuple[np.ndarray, np.ndarray]] = []  # terms of finished halves
+    n = len(a)
+    pending = [(a, q, np.arange(n), 0, 0.0, 1.0)]  # pair, its root coords, q offset, g0, span
+    breaks: list[float] = []  # in the order split, so a parent precedes its children
+    moves: list[tuple[np.ndarray, np.ndarray]] = []  # root coords and the q indices they take
     while pending:
-        item = pending.pop()
-        if len(item) == 3:
-            w_r, p_r = done.pop()
-            w_l, p_l = done.pop()
-            done.append(_merge_halves(w_l, p_l, w_r, p_r, *item))
-            continue
-        a, q = item
+        a, q, roots, off, g0, span = pending.pop()
         if len(a) == 1:
-            done.append((np.ones(1), np.zeros((1, 1), dtype=np.intp)))
             continue
         x, order, k, t = _split(a, q)
-        pending += [(order, k, t), (x[k:], q[k:]), (x[:k], q[:k])]
-    return done[0]
+        b = g0 + span * (1.0 - 1.0 / t)
+        roots = roots[order]
+        breaks.append(b)
+        moves.append((roots, np.arange(off, off + len(a))))
+        span /= t
+        pending += [
+            (x[k:], q[k:], roots[k:], off + k, b, span),
+            (x[:k], q[:k], roots[:k], off, b, span),
+        ]
+    sweep = np.argsort(breaks, kind="stable")
+    gaps = np.diff(np.concatenate(([0.0], np.sort(breaks), [1.0])))
+    perms = np.empty((len(breaks) + 1, n), dtype=np.intp)
+    perms[0] = perm = np.arange(n)
+    for row, i in enumerate(sweep, 1):
+        roots, target = moves[i]
+        perm[roots] = target
+        perms[row] = perm
+    live = gaps > 0.0
+    return gaps[live], perms[live]
 
 
 def _split(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -133,29 +155,6 @@ def _split(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, f
             break
         t = t_next
     return x[order], order, k, t
-
-
-def _merge_halves(w_l, p_l, w_r, p_r, order, k, t) -> tuple[np.ndarray, np.ndarray]:
-    """Terms of a pair split by ``_split`` from the terms of its two halves.
-
-    The halves' terms are merged by cumulative weight, the permutations are
-    mapped back through ``order``, and for ``t > 1`` the vertex ``q`` (the
-    identity) joins with weight ``1 - 1/t``.
-    """
-    n = len(order)
-    cuts_l, cuts_r = np.cumsum(w_l)[:-1], np.cumsum(w_r)[:-1]
-    edges = np.concatenate(([0.0], np.sort(np.concatenate((cuts_l, cuts_r))), [1.0]))
-    live = np.diff(edges) > 0.0
-    starts = edges[:-1][live]
-    perms = np.empty((starts.size, n), dtype=np.intp)
-    perms[:, order] = np.hstack((
-        p_l[np.searchsorted(cuts_l, starts, "right")],
-        k + p_r[np.searchsorted(cuts_r, starts, "right")],
-    ))
-    weights = np.diff(edges)[live] / t
-    if t > 1.0:
-        return np.append(1.0 - 1.0 / t, weights), np.vstack((np.arange(n), perms))
-    return weights, perms
 
 
 def bistochastic_link(a, q) -> np.ndarray:

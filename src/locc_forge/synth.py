@@ -130,7 +130,7 @@ def feasibility(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Fe
         p_max=p_max,
         deterministic_ok=bool(p_max == 1.0),
         rank_ok=_spectral_rank(a) >= _spectral_rank(b),
-        super_maj_ok_at_p=majorize.compare(a, p_num * b, "super"),
+        super_maj_ok_at_p=bool(p_num <= p_max + FEAS_ATOL),
         pure_necessary_ok_at_p=majorize.compare(p_num * b, a, "sub"),
         schmidt_sq_a=a,
         schmidt_sq_b=b,

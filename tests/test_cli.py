@@ -78,6 +78,19 @@ def test_feasibility_exit_codes(state_files, tmp_path):
     assert proc.returncode == 2
 
 
+def test_feasibility_exit_code_on_tiny_schmidt_tails(tmp_path):
+    # p_max is 7.9e-6 here, so p = 0.5 is infeasible and synthesize refuses
+    # it, although every tail sum differs by less than SUM_TOL.
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    save_state(from_schmidt([0.6, 0.4 - 1.9e-16, 1.9e-16], 3, 3), str(a_path))
+    save_state(from_schmidt([0.7, 0.3 - 2.4e-11, 2.4e-11], 3, 3), str(b_path))
+    proc = run_cli("feasibility", str(a_path), str(b_path), "--p", "0.5")
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["super_maj_ok_at_p"] is False
+    assert doc["p_max"] < 1e-5
+
+
 def test_missing_file_exits_2(state_files):
     bell_path, _ = state_files
     proc = run_cli("feasibility", "nope.json", bell_path)

@@ -274,30 +274,84 @@ def test_permutation_terms_at_most_n():
             a, q = _link_spectrum(kind, d, rng)
             weights, perms = _permutation_terms(a, q)
             assert len(weights) == len(perms) <= d, (kind, d)
-            assert np.all(weights >= 0.0)
+            assert np.all(weights > 0.0)
             assert abs(weights.sum() - 1.0) <= 1e-12
             assert all(sorted(perm.tolist()) == list(range(d)) for perm in perms)
             assert np.abs(weights @ q[perms] - a).max() <= 1e-12, (kind, d)
 
 
+def _merge_halves(w_l, p_l, w_r, p_r, order, k, t):
+    """Terms of a pair split by ``_split`` from the terms of its two halves.
+
+    The halves' terms are merged by cumulative weight, the permutations are
+    mapped back through ``order``, and for ``t > 1`` the vertex ``q`` (the
+    identity) joins with weight ``1 - 1/t``.
+    """
+    n = len(order)
+    cuts_l, cuts_r = np.cumsum(w_l)[:-1], np.cumsum(w_r)[:-1]
+    edges = np.concatenate(([0.0], np.sort(np.concatenate((cuts_l, cuts_r))), [1.0]))
+    live = np.diff(edges) > 0.0
+    starts = edges[:-1][live]
+    perms = np.empty((starts.size, n), dtype=np.intp)
+    perms[:, order] = np.hstack((
+        p_l[np.searchsorted(cuts_l, starts, "right")],
+        k + p_r[np.searchsorted(cuts_r, starts, "right")],
+    ))
+    weights = np.diff(edges)[live] / t
+    if t > 1.0:
+        return np.append(1.0 - 1.0 / t, weights), np.vstack((np.arange(n), perms))
+    return weights, perms
+
+
 def _recursive_terms(a, q):
-    """Reference: the recursion that the explicit stack of _permutation_terms runs."""
+    """Reference: the same splits, recursed, with the halves' terms merged
+    by cumulative weight at every split."""
     if len(a) == 1:
         return np.ones(1), np.zeros((1, 1), dtype=np.intp)
     x, order, k, t = majorize._split(a, q)
     left, right = _recursive_terms(x[:k], q[:k]), _recursive_terms(x[k:], q[k:])
-    return majorize._merge_halves(*left, *right, order, k, t)
+    return _merge_halves(*left, *right, order, k, t)
 
 
-def test_permutation_terms_equal_recursive_reference():
+def _tied_chain(d, rng):
+    """Tied spectra whose splits are mostly chains of ``t == 1`` splits:
+    ``q`` takes integer weights, and ``a`` averages consecutive pairs of
+    ``q``, so every prefix of even length is tight."""
+    q = np.sort(rng.integers(1, 4, d).astype(float))[::-1]
+    q /= q.sum()
+    a = q.copy()
+    for start in range(0, d, 2):
+        a[start:start + 2] = a[start:start + 2].mean()
+    return np.sort(a)[::-1], q
+
+
+def _assert_terms_match(got, ref, label):
+    # The same permutations, with weights within 1e-15; a permutation found
+    # by one side only must carry no more than 1e-15.
+    (weights, perms), (ref_weights, ref_perms) = got, ref
+    assert np.all(weights > 0.0), label
+    found = {tuple(p): w for w, p in zip(weights.tolist(), perms.tolist())}
+    expected = {tuple(p): w for w, p in zip(ref_weights.tolist(), ref_perms.tolist())}
+    assert len(found) == len(weights) and len(expected) == len(ref_weights), label
+    for perm in found.keys() | expected.keys():
+        assert abs(found.get(perm, 0.0) - expected.get(perm, 0.0)) <= 1e-15, (label, perm)
+
+
+def test_permutation_terms_match_merged_reference():
     rng = np.random.default_rng(23)
     for kind in ("dense", "sparse", "tied", "rank-drop"):
         for d in range(1, 33):
             a, q = _link_spectrum(kind, d, rng)
-            weights, perms = _permutation_terms(a, q)
-            ref_weights, ref_perms = _recursive_terms(a, q)
-            assert weights.tobytes() == ref_weights.tobytes(), (kind, d)
-            assert np.array_equal(perms, ref_perms), (kind, d)
+            _assert_terms_match(_permutation_terms(a, q), _recursive_terms(a, q), (kind, d))
+
+
+def test_permutation_terms_match_merged_reference_on_tied_chains():
+    rng = np.random.default_rng(24)
+    for d in range(2, 33):
+        a, q = _tied_chain(d, rng)
+        terms = _permutation_terms(a, q)
+        _assert_terms_match(terms, _recursive_terms(a, q), d)
+        assert np.abs(terms[0] @ q[terms[1]] - a).max() <= 1e-15, d
 
 
 def test_permutation_terms_equal_vectors_one_term():

@@ -278,9 +278,9 @@ def test_verify_matches_svd_reference_on_contract_reproducer():
         worst_excess = max(worst_excess, max(report.norm_bounds))
     assert worst_residual > 100.0
     assert worst_excess > 5.0
-    # Ratchet on the synthesize => verify contract: 2 draws still fail, both
-    # with a source Schmidt coefficient squared below 6e-14.
-    assert failures <= 4
+    # Ratchet on the synthesize => verify contract: 2 draws still fail (88
+    # and 327), both with a source Schmidt coefficient squared below 6e-14.
+    assert failures <= 2
 
 
 def test_verify_independent_of_chunk_size(monkeypatch):

@@ -518,6 +518,11 @@ def test_pmax_on_tiny_schmidt_tails(a_spec, b_spec, p_max):
     proto = synthesize(a, b, "max")
     assert proto.p_total == report.p_max
     assert verify(proto, a, b).passed
+    # At p = 0.5, far above p_max, the verdict and synthesize agree: both
+    # refuse, although the tails differ by less than compare's SUM_TOL.
+    assert feasibility(a, b, 0.5).super_maj_ok_at_p is False
+    with pytest.raises(InfeasibleError):
+        synthesize(a, b, 0.5)
 
 
 def test_deterministic_ok_iff_one_stage():
