@@ -52,7 +52,7 @@ class CliInputError(Exception):
 
 def matrix_to_json(m: np.ndarray) -> list:
     a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -207,7 +207,7 @@ def load_protocol(path: str) -> LoccProtocol:
 # ---------------------------------------------------------------------------
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -8,8 +8,8 @@ the outcomes of a protocol from ``synthesize`` carry their Schmidt frame,
 and stage 1 is checked there in O(d^3 + K d), each residual reported as an
 upper bound on the dense one (the frame term plus the basis and
 reconstruction defects, see ``_frame_stage_one``); any other protocol is
-checked on its dense operators, stacked in chunks of ``_VERIFY_CHUNK``,
-which bound its memory.  ``M0`` and stage 2 are checked densely either way.
+checked on its dense operators, all K outcomes stacked at once.  ``M0`` and
+stage 2 are checked densely either way.
 
 ``run_once``/``estimate`` execute the protocol as a sampled measurement with
 classical communication.  Outcome probabilities are always recomputed from
@@ -19,10 +19,11 @@ weights), so simulation independently cross-checks the synthesis formulas.
 ``run_once`` with ``trial_rng`` is the scalar reference: one trial, one
 generator.  ``estimate`` returns what a loop of ``run_once`` over trials
 ``0..trials-1`` would give, bit for bit, but computes each branch's
-quantities once from the operators and draws the uniforms of many trials at
-once.  Trial ``i`` uses the first Philox4x64-10 block at counter
-``(1, 0, i, 0)`` under key ``(seed mod 2**64, seed >> 64)``; its words 0
-and 1, mapped as ``(x >> 11) * 2**-53``, are the two ``random()`` draws of
+quantities once from the operators (``_branch``, which ``run_once`` reads
+too) and draws the uniforms of many trials at once.  Trial ``i`` uses the
+first Philox4x64-10 block at counter ``(1, 0, i, 0)`` under key
+``(seed mod 2**64, seed >> 64)``; its words 0 and 1, mapped as
+``(x >> 11) * 2**-53``, are the two ``random()`` draws of
 ``trial_rng(seed, i)``.
 """
 
@@ -96,10 +97,6 @@ class VerificationReport:
         }
 
 
-#: Outcomes per batch in ``verify``; bounds its memory, never changes its report.
-_VERIFY_CHUNK = 32
-
-
 def _hermitian_norms(h: np.ndarray) -> np.ndarray:
     """Operator norms of a stack of Hermitian matrices: each one's largest |eigenvalue|."""
     e = np.linalg.eigvalsh(h)
@@ -110,16 +107,6 @@ def _opnorms(m: np.ndarray) -> np.ndarray:
     """Operator norms of a stack of matrices, from the eigenvalues of the smaller Gram."""
     adj = np.conj(np.swapaxes(m, -1, -2))
     return np.sqrt(_hermitian_norms(m @ adj if m.shape[-2] <= m.shape[-1] else adj @ m))
-
-
-def _outcome_chunks(outcomes, amp: np.ndarray):
-    """``(start, M, U, sqrt(q), M amp U.T)`` stacked over successive chunks of outcomes."""
-    for start in range(0, len(outcomes), _VERIFY_CHUNK):
-        chunk = outcomes[start:start + _VERIFY_CHUNK]
-        m = np.array([out.M for out in chunk])
-        u = np.array([out.U for out in chunk])
-        root_q = np.array([math.sqrt(out.q) for out in chunk])
-        yield start, m, u, root_q, m @ amp @ np.swapaxes(u, 1, 2)
 
 
 class _StageOneChecks(NamedTuple):
@@ -135,31 +122,28 @@ class _StageOneChecks(NamedTuple):
 
 
 def _dense_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: BipartiteState):
-    """Stage 1 checked on the dense operators, stacked ``_VERIFY_CHUNK`` outcomes at a time."""
+    """Stage 1 checked on the dense operators, all outcomes stacked at once."""
     da, db = protocol.dims
-    if protocol.stage2 is None:
-        target = b_state.amp
-    else:
-        target = np.zeros((da, db), dtype=complex)
-        for _, _, _, root_q, branches in _outcome_chunks(protocol.outcomes, a_state.amp):
-            for r, branch in zip(root_q, branches):  # in outcome order, whatever the chunks
-                target += r * branch
-
     k = len(protocol.outcomes)
-    per_outcome, u_defects, m_norms = np.empty(k), np.empty(k), np.empty(k)
-    ident_a, ident_b = np.eye(da), np.eye(db)
+    m = np.array([out.M for out in protocol.outcomes]).reshape(k, da, da)
+    u = np.array([out.U for out in protocol.outcomes]).reshape(k, db, db)
+    root_q = np.sqrt([out.q for out in protocol.outcomes]).reshape(k, 1, 1)
+    branches = m @ a_state.amp @ np.swapaxes(u, 1, 2)
+    target = b_state.amp if protocol.stage2 is None else (root_q * branches).sum(axis=0)
+    gram = np.conj(np.swapaxes(m, 1, 2)) @ m
     acc = np.array(protocol.M0.conj().T @ protocol.M0, dtype=complex)
     m0_norm = float(np.sqrt(_hermitian_norms(acc)))
-    for start, m, u, root_q, branches in _outcome_chunks(protocol.outcomes, a_state.amp):
-        gram = np.conj(np.swapaxes(m, 1, 2)) @ m
-        for g in gram:  # in outcome order, whatever the chunks
-            acc += g
-        stop = start + len(m)
-        m_norms[start:stop] = np.sqrt(_hermitian_norms(gram))
-        u_defects[start:stop] = _hermitian_norms(np.conj(np.swapaxes(u, 1, 2)) @ u - ident_b)
-        per_outcome[start:stop] = _opnorms(branches - root_q[:, None, None] * target)
-    completeness = float(_hermitian_norms(acc - ident_a))
-    return _StageOneChecks(per_outcome, u_defects, m_norms, m0_norm, completeness, target, 0.0)
+    for g in gram:  # in outcome order
+        acc += g
+    return _StageOneChecks(
+        per_outcome=_opnorms(branches - root_q * target),
+        unitarity=_hermitian_norms(np.conj(np.swapaxes(u, 1, 2)) @ u - np.eye(db)),
+        m_norms=np.sqrt(_hermitian_norms(gram)),
+        m0_norm=m0_norm,
+        completeness=float(_hermitian_norms(acc - np.eye(da))),
+        target=target,
+        target_slack=0.0,
+    )
 
 
 def _frobenius(m: np.ndarray) -> float:
@@ -253,11 +237,11 @@ def verify(
     that they are the frame's, which holds because ``synthesize`` builds
     them from it as read-only views that cannot be made writeable again
     (only a write through their ``.base`` gets round that).  Any other
-    protocol is checked on its dense operators, stacked ``_VERIFY_CHUNK``
-    at a time, which bounds the memory; a stage-2 protocol sums its
-    intermediate state in a first sweep and recomputes the branches in the
-    second, so no list of K dense branches is kept.  ``M0`` and stage 2 are
-    checked densely either way.
+    protocol is checked on its dense operators, all K outcomes stacked at
+    once: each branch ``M_k A U_k.T`` is computed once, and a stage-2
+    protocol's intermediate state is their ``sqrt(q)``-weighted sum.  The
+    stacks take about twice the memory of the operators the caller holds.
+    ``M0`` and stage 2 are checked densely either way.
     """
     da, db = protocol.dims
     if a_state.dims != (da, db) or b_state.dims != (da, db):
@@ -412,6 +396,20 @@ def _trial_uniforms(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.nd
     return (c0 >> _SHIFT11) * scale, (c1 >> _SHIFT11) * scale
 
 
+def _branch(protocol: LoccProtocol, state: BipartiteState, k: int):
+    """Stage-1 outcome ``k`` on ``state``: its weight ``w``, the normalized
+    intermediate amplitude and, with a stage 2, the success and failure
+    amplitudes it leads to (both None without one)."""
+    out = protocol.outcomes[k]
+    branch = out.M @ state.amp @ out.U.T
+    w = _norm_sq(branch)
+    inter = branch / math.sqrt(w)
+    s2 = protocol.stage2
+    if s2 is None:
+        return w, inter, None, None
+    return w, inter, s2.N @ inter @ s2.V.T, s2.N_fail @ inter
+
+
 def run_once(protocol: LoccProtocol, state: BipartiteState, rng: np.random.Generator) -> RunTrace:
     """Sample one execution of a verified protocol on ``state``."""
     weights = branch_weights(protocol, state)
@@ -422,54 +420,19 @@ def run_once(protocol: LoccProtocol, state: BipartiteState, rng: np.random.Gener
 
     if idx == len(protocol.outcomes):
         # Completion branch: no amplitude survives, Bob does nothing.
-        return RunTrace(
-            outcome_index=-1,
-            classical_message=-1,
-            bob_correction=None,
-            stage2_success=None,
-            final_state=None,
-            run_weight=float(weights[idx]),
-        )
+        return RunTrace(outcome_index=-1, classical_message=-1, bob_correction=None,
+                        stage2_success=None, final_state=None, run_weight=float(weights[idx]))
 
-    out = protocol.outcomes[idx]
-    branch = out.M @ state.amp @ out.U.T
-    w = float(np.vdot(branch, branch).real)
-    inter = branch / math.sqrt(w)
-
-    if protocol.stage2 is None:
-        return RunTrace(
-            outcome_index=idx,
-            classical_message=idx,
-            bob_correction=idx,
-            stage2_success=None,
-            final_state=BipartiteState(inter),
-            run_weight=w,
-        )
-
-    s2 = protocol.stage2
-    success_amp = s2.N @ inter @ s2.V.T
-    w_succ = float(np.vdot(success_amp, success_amp).real)
-    if rng.random() < w_succ:
-        final = BipartiteState(success_amp / math.sqrt(w_succ))
-        return RunTrace(
-            outcome_index=idx,
-            classical_message=idx,
-            bob_correction=idx,
-            stage2_success=True,
-            final_state=final,
-            run_weight=w * w_succ,
-        )
-    fail_amp = s2.N_fail @ inter
-    w_fail = float(np.vdot(fail_amp, fail_amp).real)
-    final = BipartiteState(fail_amp / math.sqrt(w_fail)) if w_fail > _MIN_FAIL_WEIGHT else None
-    return RunTrace(
-        outcome_index=idx,
-        classical_message=idx,
-        bob_correction=idx,
-        stage2_success=False,
-        final_state=final,
-        run_weight=w * w_fail,
-    )
+    w, amp, success_amp, fail_amp = _branch(protocol, state, idx)
+    success, weight = None, 1.0
+    if success_amp is not None:
+        w_succ = _norm_sq(success_amp)
+        success = rng.random() < w_succ
+        amp, weight = (success_amp, w_succ) if success else (fail_amp, _norm_sq(fail_amp))
+    final = (BipartiteState(amp / math.sqrt(weight))
+             if success is not False or weight > _MIN_FAIL_WEIGHT else None)
+    return RunTrace(outcome_index=idx, classical_message=idx, bob_correction=idx,
+                    stage2_success=success, final_state=final, run_weight=w * weight)
 
 
 def _outcome_stats(
@@ -477,24 +440,18 @@ def _outcome_stats(
 ) -> tuple[float, float]:
     """Stage-2 success weight and success fidelity of stage-1 outcome ``k``.
 
-    Uses ``run_once``'s expressions and builds the states it builds on this
-    branch, so the same validation runs.  A deterministic branch always
+    Reads ``_branch`` as ``run_once`` does and builds the states it builds on
+    this branch, so the same validation runs.  A deterministic branch always
     succeeds (weight 1); a success state is built only if its weight is
     positive, since otherwise no trial can succeed.
     """
-    out = protocol.outcomes[k]
-    branch = out.M @ state.amp @ out.U.T
-    w = _norm_sq(branch)
-    inter = branch / math.sqrt(w)
-    s2 = protocol.stage2
-    if s2 is None:
+    _, inter, success_amp, fail_amp = _branch(protocol, state, k)
+    if success_amp is None:
         return 1.0, fidelity(BipartiteState(inter), target)
-    success_amp = s2.N @ inter @ s2.V.T
     w_succ = _norm_sq(success_amp)
     fid = math.nan
     if w_succ > 0:
         fid = fidelity(BipartiteState(success_amp / math.sqrt(w_succ)), target)
-    fail_amp = s2.N_fail @ inter
     w_fail = _norm_sq(fail_amp)
     if w_fail > _MIN_FAIL_WEIGHT:
         BipartiteState(fail_amp / math.sqrt(w_fail))
@@ -529,7 +486,7 @@ def estimate(
     adds their fidelities to ``b_state`` in trial order.  The branch weights
     are computed once from the operators, and each outcome some trial
     selects gets its post-measurement state, stage-2 split and success
-    fidelity computed once, with ``run_once``'s expressions.  Trials run in
+    fidelity computed once, from ``_branch`` as ``run_once`` reads it.  Trials run in
     chunks of ``_CHUNK``, each drawing all its uniforms at once (see the
     module docstring for the counter layout).
     """

@@ -270,12 +270,6 @@ class _FrameOutcomes(tuple):
     frame: _StageOneFrame
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A view of ``a`` that cannot be made writeable again, since its base is not."""
-    a.flags.writeable = False
-    return a.view()
-
-
 @dataclass(frozen=True)
 class LoccProtocol:
     """Explicit operators of a synthesized one-way protocol.
@@ -299,35 +293,32 @@ def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_FrameOutcomes, np.nda
     """Stage-1 outcomes, carrying their frame, and ``M0`` from the Schmidt forms of A and Q.
 
     In the Schmidt bases ``M = sqrt(w) Sigma_Q P S^(-1/2)`` and ``U*`` is a
-    permutation, so both are column gathers.  ``s = sum_k w_k P_k q`` is the
-    mixture the terms actually extract (``a`` up to roundoff), so
+    permutation, so both are column gathers, made for all K outcomes at once:
+    every ``M``/``U`` is a view of one ``K x d x d`` stack.  ``s = sum_k w_k P_k q``
+    is the mixture the terms actually extract (``a`` up to roundoff), so
     ``sum M'M`` is exactly the projector onto the coordinates with ``s > 0``;
     ``M0`` projects onto every other left Schmidt vector of A, those beyond
-    the rank cutoff included.  The frame's arrays and every ``M``/``U`` are
-    read-only.
+    the rank cutoff included.  The frame's arrays and both stacks are
+    read-only, and so is every view of them.
     """
-    da, db = fa.left_basis.shape[0], fa.right_basis.shape[0]
     r = fa.coeffs.size
-    weights, perms, s = _mixing_terms(fa.coeffs**2, fq.coeffs**2, db)
+    weights, perms, s = _mixing_terms(fa.coeffs**2, fq.coeffs**2, fa.right_basis.shape[0])
     keep = s > 0.0
     inv_s = np.where(keep, 1.0 / np.sqrt(np.where(keep, s, 1.0)), 0.0)
     frame = _StageOneFrame(
         x_a=fa.left_basis, y_a=fa.right_basis, x_q=fq.left_basis, y_q=fq.right_basis,
         sigma_a=fa.coeffs, sigma_q=fq.coeffs, weights=weights, perms=perms, inv_s=inv_s, r=r,
     )
-    for value in frame:
+    m = fq.left_basis.T[perms[:, :r]]  # m[k, i] is column perms[k, i] of X_Q
+    m *= frame.scales()[:, :, None]
+    m = m.swapaxes(1, 2) @ fa.left_basis[:, :r].conj().T
+    u = (fq.right_basis[perms].conj().swapaxes(1, 2) @ fa.right_basis).conj()
+    for value in (*frame, m, u):
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    x_a_adj = fa.left_basis[:, :r].conj().T
-    y_q_adj = fq.right_basis.conj().T
-    outcomes = []
-    for w, pi in zip(weights, perms):
-        m = (fq.left_basis[:, pi[:r]] * (np.sqrt(w) * fq.coeffs[pi[:r]] * inv_s)) @ x_a_adj
-        u = (y_q_adj[:, pi] @ fa.right_basis).conj()
-        outcomes.append(StageOneOutcome(q=float(w), M=_read_only(m), U=_read_only(u)))
-    outcomes = _FrameOutcomes(outcomes)
+    outcomes = _FrameOutcomes(map(StageOneOutcome, weights.tolist(), m, u))
     outcomes.frame = frame
-    null = np.ones(da, dtype=bool)
+    null = np.ones(fa.left_basis.shape[0], dtype=bool)
     null[:r] = ~keep
     x_null = fa.left_basis[:, null]
     return outcomes, x_null @ x_null.conj().T

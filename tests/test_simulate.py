@@ -217,9 +217,9 @@ def _split_outcomes(protocol, copies):
     return dataclasses.replace(protocol, outcomes=outcomes)
 
 
-def _spanning_chunks(protocol, chunks):
-    """``protocol`` split evenly into more than ``chunks`` chunks of outcomes."""
-    return _split_outcomes(protocol, chunks * simulate._VERIFY_CHUNK // len(protocol.outcomes) + 1)
+def _split_past(protocol, count):
+    """``protocol`` with its outcomes split evenly into more than ``count``."""
+    return _split_outcomes(protocol, count // len(protocol.outcomes) + 1)
 
 
 def _verify_cases():
@@ -233,7 +233,16 @@ def _verify_cases():
         cases[f"{name}-stage2"] = (synthesize(sa, sb, max_probability(sa, sb) / 2), sa, sb)
     a, b = (np.sort(rng.dirichlet(np.ones(14)))[::-1] for _ in range(2))
     sa, sb = state_with_spectrum(a, 14, 14, rng), state_with_spectrum(b, 14, 14, rng)
-    cases["square-d14-stage2"] = (_spanning_chunks(synthesize(sa, sb, "max"), 2), sa, sb)
+    cases["square-d14-stage2"] = (_split_past(synthesize(sa, sb, "max"), 64), sa, sb)
+    # Large-K dense protocols of both kinds: a deterministic d=10 and a
+    # stage-2 d=14, each split past 32 outcomes.
+    rng_k = np.random.default_rng(65)
+    for d in (10, 14):
+        b = np.sort(rng_k.dirichlet(np.ones(d)))[::-1]
+        a = np.sort(rng_k.dirichlet(np.ones(d)))[::-1] if d == 14 else 0.5 * b + 0.05
+        sa, sb = state_with_spectrum(a, d, d, rng_k), state_with_spectrum(b, d, d, rng_k)
+        kind = "stage2" if d == 14 else "deterministic"
+        cases[f"large-k-d{d}-{kind}"] = (_split_past(synthesize(sa, sb, "max"), 32), sa, sb)
     sa = state_with_spectrum(np.array([0.6, 0.3, 0.1, 0.0]), 4, 4, rng)
     sb = state_with_spectrum(np.array([0.4, 0.3, 0.2, 0.1]), 4, 4, rng)
     cases["rank-deficient"] = (synthesize(sa, sb, "max"), sa, sb)
@@ -254,7 +263,9 @@ def test_verify_matches_svd_reference(name):
     if name == "rank-deficient":
         assert np.linalg.norm(proto.M0, 2) > 0.5
     if name == "square-d14-stage2":
-        assert len(proto.outcomes) > 2 * simulate._VERIFY_CHUNK
+        assert len(proto.outcomes) > 64
+    if name.startswith("large-k"):
+        assert len(proto.outcomes) > 32
     report = _assert_matches_reference(proto, a, b)
     corrupted = name.endswith(("M-scaled", "U-nudged", "U-swapped"))
     assert report.passed is not corrupted
@@ -281,24 +292,6 @@ def test_verify_matches_svd_reference_on_contract_reproducer():
     # Ratchet on the synthesize => verify contract: 2 draws still fail (88
     # and 327), both with a source Schmidt coefficient squared below 6e-14.
     assert failures <= 2
-
-
-def test_verify_independent_of_chunk_size(monkeypatch):
-    rng = np.random.default_rng(65)
-    cases = []
-    for d in (10, 14):
-        b = np.sort(rng.dirichlet(np.ones(d)))[::-1]
-        a = np.sort(rng.dirichlet(np.ones(d)))[::-1] if d == 14 else 0.5 * b + 0.05
-        sa, sb = state_with_spectrum(a, d, d, rng), state_with_spectrum(b, d, d, rng)
-        cases.append((_spanning_chunks(synthesize(sa, sb, "max"), 1), sa, sb))
-    assert [proto.stage2 is None for proto, _, _ in cases] == [True, False]
-    for proto, x, y in cases:
-        assert len(proto.outcomes) > simulate._VERIFY_CHUNK
-        expected = repr(verify(proto, x, y))
-        for chunk in (1, 5):
-            monkeypatch.setattr(simulate, "_VERIFY_CHUNK", chunk)
-            assert repr(verify(proto, x, y)) == expected
-        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
@@ -423,6 +416,51 @@ def test_run_once_success_branch_reaches_target():
             assert fidelity(trace.final_state, BELL) >= 1.0 - 1e-9
             assert abs(trace.run_weight - 0.4) <= 1e-9
     assert seen_success
+
+
+def test_run_once_failure_and_completion_traces():
+    # Stage-2 failure: the trace holds N_fail applied to the normalized
+    # branch, normalized, with weight w * w_fail, bit for bit.
+    rng = np.random.default_rng(68)
+    a, b = random_state(4, 4, rng), random_state(4, 4, rng)
+    cases = [(SKEW, BELL, 0.4), (a, b, max_probability(a, b) / 2)]
+    for source, target, p in cases:
+        proto = synthesize(source, target, p)
+        s2 = proto.stage2
+        failures = 0
+        for i in range(40):
+            trace = run_once(proto, source, trial_rng(12, i))
+            if trace.stage2_success is not False:
+                continue
+            failures += 1
+            k = trace.outcome_index
+            assert trace.classical_message == trace.bob_correction == k >= 0
+            out = proto.outcomes[k]
+            branch = out.M @ source.amp @ out.U.T
+            w = float(np.vdot(branch, branch).real)
+            fail_amp = s2.N_fail @ (branch / math.sqrt(w))
+            w_fail = float(np.vdot(fail_amp, fail_amp).real)
+            assert np.array_equal(trace.final_state.amp, fail_amp / math.sqrt(w_fail))
+            assert trace.run_weight == w * w_fail
+        assert failures >= 5
+
+    # Completion branch: M0 of a rank-deficient protocol has weight on a
+    # full-rank state; the trace carries no message, correction or state.
+    sa = state_with_spectrum(np.array([0.7, 0.3, 0.0]), 3, 3, rng)
+    sb = state_with_spectrum(np.array([0.5, 0.5, 0.0]), 3, 3, rng)
+    proto = synthesize(sa, sb, "max")
+    state = random_state(3, 3, rng)
+    m0_weight = branch_weights(proto, state)[-1]
+    assert m0_weight > 0.05
+    traces = [run_once(proto, state, trial_rng(13, i)) for i in range(60)]
+    completions = [t for t in traces if t.outcome_index == -1]
+    assert completions
+    for trace in completions:
+        assert trace.classical_message == -1
+        assert trace.bob_correction is None
+        assert trace.stage2_success is None
+        assert trace.final_state is None
+        assert trace.run_weight == m0_weight
 
 
 def test_branch_weights_sum_to_one():

@@ -562,6 +562,25 @@ def test_synthesize_operators_in_schmidt_frame():
             assert np.max(np.abs(n_frame - np.diag(np.diagonal(n_frame)))) <= 1e-12
 
 
+def test_stage_one_stack_equals_per_outcome_loop():
+    # Every M/U, a view of one stack, is bit for bit what the per-outcome
+    # loop over the protocol's own frame gives.
+    rng = np.random.default_rng(69)
+    large = [(random_state(d, d + k, rng), random_state(d, d + k, rng))
+             for d in (16, 24, 40) for k in (0, 3)]
+    for a, b in itertools.chain(seeded_pairs(69, 100), reproducer_pairs(40), large):
+        p = max_probability(a, b)
+        proto = synthesize(a, b, p / 2 if 0.0 < p < 1.0 else "max")
+        f = proto.outcomes.frame
+        x_a_adj, y_q_adj = f.x_a[:, :f.r].conj().T, f.y_q.conj().T
+        assert len(proto.outcomes) == len(f.weights)
+        for out, w, pi in zip(proto.outcomes, f.weights, f.perms):
+            m = (f.x_q[:, pi[:f.r]] * (np.sqrt(w) * f.sigma_q[pi[:f.r]] * f.inv_s)) @ x_a_adj
+            assert out.q == float(w)
+            assert np.array_equal(out.M, m)
+            assert np.array_equal(out.U, (y_q_adj[:, pi] @ f.y_a).conj())
+
+
 def test_synthesize_stage2_satisfies_pure_necessity():
     # the spectrum of the intermediate state weakly majorizes p times the
     # target spectrum, as any single-contraction protocol requires
