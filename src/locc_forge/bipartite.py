@@ -6,6 +6,8 @@ matrix multiplication: applying ``C_A`` on the first party and ``C_B`` on the
 second maps ``amp`` to ``C_A @ amp @ C_B.T``, and the squared Frobenius norm
 of the result is the probability weight of that measurement branch.
 
+Each state's Schmidt form is computed once and cached on it with read-only
+arrays; ``amp`` cannot be made writeable, so the form never goes stale.
 ``_spectral_rank`` is the one test of "this Schmidt coordinate is zero" that
 ``schmidt_rank``, ``p_max``, ``rank_ok`` and both synthesis stages read.
 """
@@ -13,6 +15,7 @@ of the result is the probability weight of that measurement branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +29,7 @@ NORM_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Normalized amplitude matrix of a bipartite pure state."""
+    """Normalized amplitude matrix of a bipartite pure state; ``amp`` is a read-only view."""
 
     amp: np.ndarray
 
@@ -39,7 +42,7 @@ class BipartiteState:
             )
         a = a.copy()
         a.flags.writeable = False
-        object.__setattr__(self, "amp", a)
+        object.__setattr__(self, "amp", a.view())
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -56,6 +59,13 @@ class BipartiteState:
         h.update(repr(self.amp.shape).encode())
         h.update(np.ascontiguousarray(self.amp).tobytes())
         return h.hexdigest()
+
+    @cached_property
+    def _schmidt_form(self) -> SchmidtForm:
+        t = svd(self.amp)
+        for value in t.x, t.sigma, t.y:
+            value.flags.writeable = False
+        return SchmidtForm(left_basis=t.x, coeffs=t.sigma, right_basis=t.y)
 
 
 @dataclass(frozen=True)
@@ -93,9 +103,8 @@ def from_schmidt(coeffs, da: int, db: int) -> BipartiteState:
 
 
 def schmidt(state: BipartiteState) -> SchmidtForm:
-    """Schmidt decomposition of a state (SVD of its amplitude matrix)."""
-    t = svd(state.amp)
-    return SchmidtForm(left_basis=t.x, coeffs=t.sigma, right_basis=t.y)
+    """Schmidt decomposition of a state, computed once and cached on it (read-only arrays)."""
+    return state._schmidt_form
 
 
 def schmidt_rank(state: BipartiteState) -> int:
@@ -104,9 +113,8 @@ def schmidt_rank(state: BipartiteState) -> int:
 
 
 def squared_spectrum(state: BipartiteState) -> np.ndarray:
-    """Squared Schmidt coefficients, non-increasing (the entanglement spectrum)."""
-    s = np.linalg.svd(state.amp, compute_uv=False)
-    return s * s
+    """Squared Schmidt coefficients of the cached :func:`schmidt` form, non-increasing."""
+    return schmidt(state).coeffs ** 2
 
 
 def _spectral_rank(x: np.ndarray) -> int:

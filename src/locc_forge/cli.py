@@ -57,15 +57,14 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows = [[complex(float(pair[0]), float(pair[1])) for pair in row] for row in obj]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise CliInputError(f"malformed matrix entry: {exc}") from exc
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise CliInputError("matrix rows are empty or ragged")
-    m = np.array(rows, dtype=complex)
-    if not np.all(np.isfinite(m)):
+        a = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliInputError(f"malformed matrix: {exc}") from exc
+    if a.ndim != 3 or a.shape[2] != 2:
+        raise CliInputError(f"matrix must be rows x cols of [re, im] pairs, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise CliInputError("matrix contains non-finite entries")
-    return m
+    return a.view(complex)[..., 0]
 
 
 def _read_json(path: str) -> dict:

@@ -17,8 +17,8 @@ The intermediate spectrum comes from a closed-form witness of weak
 supermajorization; stage 1 mixes at most ``rank(A)`` permutations of the
 intermediate spectrum that average to the source spectrum (Uhlmann mixing,
 one outcome per permutation), with no bistochastic matrix or Birkhoff
-step.  Both stages are built from one Schmidt decomposition per state, and
-every rank cutoff, ``p_max``'s zero test included, is ``bipartite``'s one.
+step.  Both stages and ``verify`` read the Schmidt form cached on each state,
+and every rank cutoff, ``p_max``'s zero test included, is ``bipartite``'s one.
 
 The ``outcomes`` of a synthesized protocol carry the Schmidt frame of A
 and Q they were built from (the bases, the spectra, the weights and one
@@ -40,7 +40,7 @@ from .bipartite import (
     NORM_ATOL, BipartiteState, SchmidtForm, _spectral_rank, schmidt, squared_spectrum
 )
 from .errors import InfeasibleError, InvalidInputError, UnsupportedShapeError
-from .numkit import as_matrix, hermitian_eigs, opnorm, svd, transposition_unitary
+from .numkit import as_matrix, hermitian_eigs, opnorm, transposition_unitary
 
 #: Slack allowed when a requested probability sits right at the maximum.
 FEAS_ATOL = 1e-9
@@ -58,14 +58,13 @@ def _tail_sums(x: np.ndarray) -> np.ndarray:
 def _pmax_from_spectra(a, b) -> float:
     """Largest p with spectrum(A) weakly supermajorized by p * spectrum(B).
 
-    Equals the minimum of the tail-sum ratios E_k(a) / E_k(b) over the first
-    rank(B) tails, clamped to [0, 1]; it is 0 exactly when rank(A) < rank(B).
+    For non-increasing a, b of one length: the least tail-sum ratio E_k(a) / E_k(b)
+    over the first rank(B) tails, clamped to [0, 1]; 0 exactly when rank(A) < rank(B).
     """
-    av, bv = majorize._pad_pair(np.sort(a)[::-1], np.sort(b)[::-1])
-    rank_b = _spectral_rank(bv)
-    if _spectral_rank(av) < rank_b:
+    rank_b = _spectral_rank(b)
+    if _spectral_rank(a) < rank_b:
         return 0.0
-    p = (_tail_sums(av)[:rank_b] / _tail_sums(bv)[:rank_b]).min()
+    p = (_tail_sums(a)[:rank_b] / _tail_sums(b)[:rank_b]).min()
     # Ratios pinned to 1 by rounding crumbs mean a deterministic pair.
     return 1.0 if p > 1.0 - 1e-12 else p
 
@@ -119,12 +118,10 @@ def feasibility(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Fe
 
     Infeasibility is reported, never raised.
     """
-    if a_state.dims != b_state.dims:
-        raise InvalidInputError(f"dimension mismatch: {a_state.dims} vs {b_state.dims}")
+    p_max = max_probability(a_state, b_state)
+    p_num = _resolve_p(p, p_max)
     a = squared_spectrum(a_state)
     b = squared_spectrum(b_state)
-    p_max = _pmax_from_spectra(a, b)
-    p_num = _resolve_p(p, p_max)
     return FeasibilityReport(
         p_requested=p if isinstance(p, str) else float(p),
         p_max=p_max,
@@ -372,9 +369,7 @@ def final_contraction(
     """
     if q_state.dims != b_state.dims:
         raise InvalidInputError(f"dimension mismatch: {q_state.dims} vs {b_state.dims}")
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise InvalidInputError(f"p must lie in [0, 1], got {p}")
+    p = _resolve_p(float(p), 1.0)
     fq = schmidt(q_state)
     fb = schmidt(b_state)
     if np.min(fq.coeffs**2 - p * fb.coeffs**2) < -FEAS_ATOL:
@@ -391,8 +386,6 @@ def synthesize(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Loc
     is omitted.  Raises :class:`InfeasibleError` (carrying ``p_max``) when
     the request is out of reach.
     """
-    if a_state.dims != b_state.dims:
-        raise InvalidInputError(f"dimension mismatch: {a_state.dims} vs {b_state.dims}")
     p_max = max_probability(a_state, b_state)
     p_num = _resolve_p(p, p_max)
     if p_num > p_max + FEAS_ATOL:
@@ -486,11 +479,11 @@ def _flow_balance(m, source: BipartiteState, target: BipartiteState, p: float):
     da = source.dims[0]
     if mm.shape != (da, da):
         raise InvalidInputError(f"operator shape {mm.shape} does not act on dim {da}")
-    t_a = svd(source.amp)
-    t_b = svd(target.amp)
-    s = (np.abs(t_b.x.conj().T @ mm @ t_a.x) ** 2).T
+    fa = schmidt(source)
+    fb = schmidt(target)
+    s = (np.abs(fb.left_basis.conj().T @ mm @ fa.left_basis) ** 2).T
     a_pad = np.zeros(da)
     b_pad = np.zeros(da)
-    a_pad[: t_a.sigma.size] = t_a.sigma**2
-    b_pad[: t_b.sigma.size] = t_b.sigma**2
+    a_pad[: fa.coeffs.size] = fa.coeffs**2
+    b_pad[: fb.coeffs.size] = fb.coeffs**2
     return s, float(np.max(np.abs(s.T @ a_pad - float(p) * b_pad)))

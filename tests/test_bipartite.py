@@ -52,6 +52,8 @@ def test_state_amp_is_frozen():
     s = from_schmidt([1.0], 2, 2)
     with pytest.raises(ValueError):
         s.amp[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        s.amp.flags.writeable = True
 
 
 def test_schmidt_product_state():

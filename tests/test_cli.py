@@ -194,10 +194,12 @@ def test_simulate_negative_seed_exits_2(state_files, tmp_path):
         ("verify", lambda doc: doc["meta"].update(p_total=float("inf"))),
         ("simulate", lambda doc: doc["stage1"]["outcomes"][0].update(q=-0.5)),
         ("verify", lambda doc: doc["stage1"]["outcomes"][0]["M"][0][0].__setitem__(0, float("nan"))),
+        ("verify", lambda doc: doc["stage1"]["outcomes"][0]["M"][0][0].append(7.0)),
+        ("verify", lambda doc: doc["stage1"]["outcomes"][0]["M"][0][0].__setitem__(0, 10**400)),
     ],
     ids=["short-dims", "meta-list", "small-M0-simulate", "small-M0-verify",
          "negative-q", "nan-q", "q-above-1", "negative-p", "inf-p_total",
-         "negative-q-simulate", "nan-M-entry"],
+         "negative-q-simulate", "nan-M-entry", "triple-M-entry", "huge-int-M-entry"],
 )
 def test_malformed_protocol_exits_2(state_files, tmp_path, command, edit):
     bell_path, skew_path = state_files

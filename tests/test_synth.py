@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from locc_forge import majorize
+from locc_forge import bipartite, cli, majorize, numkit, simulate, synth
 from locc_forge.bipartite import (
     BipartiteState,
     from_schmidt,
@@ -484,6 +484,46 @@ def seeded_pairs(seed, count):
 def test_synthesize_max_is_feasibility_pmax():
     for a, b in seeded_pairs(58, 150):
         assert synthesize(a, b, "max").p_total == feasibility(a, b).p_max
+
+
+def test_one_schmidt_decomposition_per_state(monkeypatch):
+    calls, original = [], numkit.svd
+
+    def counted_svd(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    # Count every numkit.svd call, under whichever module name it was imported.
+    for mod in (numkit, bipartite, majorize, synth, simulate, cli):
+        if vars(mod).get("svd") is original:
+            monkeypatch.setattr(mod, "svd", counted_svd)
+
+    rng = np.random.default_rng(71)
+    s = random_state(3, 5, rng)
+    form = schmidt(s)
+    assert schmidt(s) is form
+    for value in (form.left_basis, form.coeffs, form.right_basis):
+        assert not value.flags.writeable
+    with pytest.raises(ValueError):
+        form.coeffs[0] = 0.0
+    assert squared_spectrum(s).tobytes() == (form.coeffs**2).tobytes()
+    assert len(calls) == 1
+
+    a_spec, b_spec = comparable_spectra(5, rng)
+    pairs = [
+        # stage 2: A, B and the intermediate state that verify rebuilds
+        ((random_state(4, 6, rng), random_state(4, 6, rng)), 3),
+        # deterministic: A and B only
+        ((state_with_spectrum(a_spec, 5, 5, rng), state_with_spectrum(b_spec, 5, 5, rng)), 2),
+    ]
+    for (a, b), budget in pairs:
+        calls.clear()
+        report = feasibility(a, b)
+        proto = synthesize(a, b, "max")
+        assert verify(proto, a, b).passed
+        assert (proto.stage2 is None) == (budget == 2)
+        assert proto.p_total == report.p_max
+        assert len(calls) <= budget
 
 
 def test_feasibility_rank_ok_matches_schmidt_rank():
