@@ -6,8 +6,9 @@ matrix multiplication: applying ``C_A`` on the first party and ``C_B`` on the
 second maps ``amp`` to ``C_A @ amp @ C_B.T``, and the squared Frobenius norm
 of the result is the probability weight of that measurement branch.
 
-Each state's Schmidt form is computed once and cached on it with read-only
-arrays; ``amp`` cannot be made writeable, so the form never goes stale.
+Each state's Schmidt form (``numkit.SchmidtForm``) is computed once and
+cached on it; ``amp`` and the form's arrays are ``numkit.frozen``, so no
+write reaches them and the form never goes stale.
 ``_spectral_rank`` is the one test of "this Schmidt coordinate is zero" that
 ``schmidt_rank``, ``p_max``, ``rank_ok`` and both synthesis stages read.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .majorize import SUM_TOL
-from .numkit import DEFAULT_RANK_RTOL, as_matrix, rect_diag, svd
+from .numkit import DEFAULT_RANK_RTOL, SchmidtForm, as_matrix, frozen, rect_diag, svd
 
 #: Acceptable deviation of a state's squared norm from 1.
 NORM_ATOL = 1e-8
@@ -29,7 +30,7 @@ NORM_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Normalized amplitude matrix of a bipartite pure state; ``amp`` is a read-only view."""
+    """Normalized amplitude matrix of a bipartite pure state; ``amp`` is frozen (read-only)."""
 
     amp: np.ndarray
 
@@ -40,9 +41,7 @@ class BipartiteState:
             raise InvalidInputError(
                 f"state is not normalized: ||amp||_F^2 = {norm_sq!r}"
             )
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "amp", a.view())
+        object.__setattr__(self, "amp", frozen(a))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -62,27 +61,7 @@ class BipartiteState:
 
     @cached_property
     def _schmidt_form(self) -> SchmidtForm:
-        t = svd(self.amp)
-        for value in t.x, t.sigma, t.y:
-            value.flags.writeable = False
-        return SchmidtForm(left_basis=t.x, coeffs=t.sigma, right_basis=t.y)
-
-
-@dataclass(frozen=True)
-class SchmidtForm:
-    """Schmidt decomposition ``amp = left_basis @ diag(coeffs) @ right_basis``.
-
-    ``coeffs`` are the Schmidt coefficients, non-increasing with unit sum of
-    squares; ``right_basis`` is the full right SVD factor (adjoint folded in).
-    """
-
-    left_basis: np.ndarray
-    coeffs: np.ndarray
-    right_basis: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        da, db = self.left_basis.shape[0], self.right_basis.shape[0]
-        return self.left_basis @ rect_diag(self.coeffs, da, db) @ self.right_basis
+        return svd(self.amp)
 
 
 def from_schmidt(coeffs, da: int, db: int) -> BipartiteState:

@@ -42,8 +42,9 @@ EXIT_INFEASIBLE = 1
 EXIT_BAD_INPUT = 2
 
 
-class CliInputError(Exception):
-    """File-level problem: unreadable, unparsable or wrongly shaped input."""
+class CliInputError(LoccForgeError):
+    """File-level problem: unreadable, unparsable or wrongly shaped input (not a
+    ``ValueError``, which ``protocol_from_dict`` would wrap a second time)."""
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +404,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as exc:
-        print(json.dumps({"error": {"type": "invalid-input", "message": str(exc)}}))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except InfeasibleError as exc:
         payload = {"error": {"type": "infeasible", "message": str(exc)}}
         if exc.p_max is not None:

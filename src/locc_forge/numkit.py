@@ -2,9 +2,10 @@
 
 Conventions used everywhere else in the package:
 
-* the SVD of a matrix ``m`` is written ``m = x @ diag(sigma) @ y`` where both
-  ``x`` and ``y`` are unitary, i.e. ``y`` is the *full right factor* with the
-  adjoint already folded in;
+* the SVD of a matrix ``m`` is one record, :class:`SchmidtForm`:
+  ``m = left_basis @ diag(coeffs) @ right_basis`` where both bases are
+  unitary, i.e. ``right_basis`` is the *full right factor* with the adjoint
+  already folded in; its arrays are :func:`frozen`, so they stay read-only;
 * ``pinv`` is the Moore-Penrose inverse with the relative rank cutoff
   ``DEFAULT_RANK_RTOL``, which ``bipartite`` also applies to Schmidt spectra;
 * ``transposition_unitary`` returns the unitary ``k`` with
@@ -55,28 +56,36 @@ def unitarity_defect(u) -> float:
     return opnorm(u.conj().T @ u - np.eye(u.shape[1]))
 
 
-@dataclass(frozen=True)
-class SvdTriple:
-    """Singular value decomposition ``x @ diag(sigma) @ y``.
+def frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only copy of ``a`` backed by immutable bytes: neither it nor its
+    ``.base`` can be made writeable again."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
-    ``x`` (rows x rows) and ``y`` (cols x cols) are unitary and ``sigma`` is
-    non-increasing and non-negative, so the three pieces multiply back
-    together without any further conjugation.
+
+@dataclass(frozen=True)
+class SchmidtForm:
+    """Schmidt (singular value) decomposition ``left_basis @ diag(coeffs) @ right_basis``.
+
+    ``left_basis`` (rows x rows) and ``right_basis`` (cols x cols) are
+    unitary, the latter the full right SVD factor with the adjoint folded in,
+    and ``coeffs`` are non-increasing and non-negative, so the three pieces
+    multiply back together without any further conjugation.  For the
+    amplitude matrix of a state ``coeffs`` are its Schmidt coefficients, with
+    unit sum of squares.
     """
 
-    x: np.ndarray
-    sigma: np.ndarray
-    y: np.ndarray
+    left_basis: np.ndarray
+    coeffs: np.ndarray
+    right_basis: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return self.x @ rect_diag(self.sigma, self.x.shape[0], self.y.shape[0]) @ self.y
+        rows, cols = self.left_basis.shape[0], self.right_basis.shape[0]
+        return self.left_basis @ rect_diag(self.coeffs, rows, cols) @ self.right_basis
 
 
-def svd(m) -> SvdTriple:
-    """Full SVD of ``m`` with non-increasing singular values."""
-    a = as_matrix(m)
-    x, s, y = np.linalg.svd(a, full_matrices=True)
-    return SvdTriple(x=x, sigma=s, y=y)
+def svd(m) -> SchmidtForm:
+    """Full SVD of ``m`` with non-increasing singular values, as a frozen form."""
+    return SchmidtForm(*map(frozen, np.linalg.svd(as_matrix(m), full_matrices=True)))
 
 
 def pinv(m, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
@@ -88,25 +97,25 @@ def pinv(m, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     if rank_rtol <= 0:
         raise InvalidInputError("rank_rtol must be positive")
     t = svd(m)
-    smax = t.sigma[0] if t.sigma.size else 0.0
-    cutoff = rank_rtol * smax
-    inv = np.where(t.sigma > cutoff, 1.0 / np.where(t.sigma > cutoff, t.sigma, 1.0), 0.0)
-    rows, cols = t.x.shape[0], t.y.shape[0]
-    return t.y.conj().T @ rect_diag(inv, cols, rows) @ t.x.conj().T
+    cutoff = rank_rtol * t.coeffs[0]
+    keep = t.coeffs > cutoff
+    inv = np.where(keep, 1.0 / np.where(keep, t.coeffs, 1.0), 0.0)
+    rows, cols = t.left_basis.shape[0], t.right_basis.shape[0]
+    return t.right_basis.conj().T @ rect_diag(inv, cols, rows) @ t.left_basis.conj().T
 
 
 def transposition_unitary(m) -> np.ndarray:
     """Unitary ``k`` satisfying ``m.T == k @ m @ k.conj()``.
 
-    The identity holds for any valid SVD triple of ``m``, degenerate or
-    rank-deficient spectra included, because only ``x.conj().T @ x == I``
-    and ``y @ y.conj().T == I`` enter the cancellation.
+    It is ``y.T @ x'`` for the bases ``x``, ``y`` of any valid SVD of ``m``,
+    degenerate or rank-deficient spectra included, because only
+    ``x' x == I`` and ``y y' == I`` enter the cancellation.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError("transposition unitary requires a square matrix")
     t = svd(a)
-    return t.y.T @ t.x.conj().T
+    return t.right_basis.T @ t.left_basis.conj().T
 
 
 def hermitian_eigs(h) -> tuple[np.ndarray, np.ndarray]:

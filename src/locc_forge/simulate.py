@@ -97,6 +97,11 @@ class VerificationReport:
         }
 
 
+def _check_dims(protocol: LoccProtocol, *states: BipartiteState) -> None:
+    if any(s.dims != tuple(protocol.dims) for s in states):
+        raise InvalidInputError("state dimensions do not match the protocol")
+
+
 def _hermitian_norms(h: np.ndarray) -> np.ndarray:
     """Operator norms of a stack of Hermitian matrices: each one's largest |eigenvalue|."""
     e = np.linalg.eigvalsh(h)
@@ -165,36 +170,36 @@ def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: B
     ``M0'M0 + X_A diag(sum_k E_k'E_k) X_A' - I``.
     """
     f = protocol.outcomes.frame
+    a, q, scale = f.a, f.q, f.scale
     da, db = protocol.dims
-    r, ident_a, ident_b = f.r, np.eye(da), np.eye(db)
-    scale = f.scales()
+    r, ident_a, ident_b = a.coeffs.size, np.eye(da), np.eye(db)
     g = np.einsum("ki,ki->i", scale, scale)  # diagonal of sum_k E_k'E_k
-    x_a, x_q, perms = f.x_a[:, :r], f.x_q[:, :r], f.perms[:, :r]
-    e_xa, e_xq = (_frobenius(x.conj().T @ x - ident_a) for x in (f.x_a, f.x_q))
-    e_ya, e_yq = (_frobenius(y.conj().T @ y - ident_b) for y in (f.y_a, f.y_q))
-    rho_a = _frobenius((x_a * f.sigma_a) @ f.y_a[:r] - a_state.amp)
+    x_a, x_q, perms = a.left_basis[:, :r], q.left_basis[:, :r], f.perms[:, :r]
+    e_xa, e_xq = (_frobenius(x.conj().T @ x - ident_a) for x in (a.left_basis, q.left_basis))
+    e_ya, e_yq = (_frobenius(y.conj().T @ y - ident_b) for y in (a.right_basis, q.right_basis))
+    rho_a = _frobenius((x_a * a.coeffs) @ a.right_basis[:r] - a_state.amp)
     m0_gram = protocol.M0.conj().T @ protocol.M0
     m0_norm, completeness = _hermitian_norms(
         np.array((m0_gram, m0_gram + (x_a * g) @ x_a.conj().T - ident_a))
     ).tolist()
 
     # Up to those terms, branch k is X_Q diag(c) Y_Q with c[perms[k, i]] = coeffs[k, i].
-    root_q = np.sqrt(f.weights)
-    coeffs = scale * f.sigma_a
+    root_q = np.sqrt([out.q for out in protocol.outcomes])
+    coeffs = scale * a.coeffs
     e_norms = scale.max(axis=1)  # ||E_k||
     gain = math.sqrt((1.0 + e_xq) * (1.0 + e_yq))  # bounds ||X_Q|| ||Y_Q||
     # ||M_k A U_k^T - X_Q diag(c) Y_Q|| <= gain * e_norms[k] * delta
-    delta = (f.sigma_a[0] * (e_xa + e_ya + e_xa * e_ya)
+    delta = (a.coeffs[0] * (e_xa + e_ya + e_xa * e_ya)
              + math.sqrt((1.0 + e_xa) * (1.0 + e_ya)) * rho_a)
     branch_err = gain * delta * e_norms
     if protocol.stage2 is None:
         target, target_slack = b_state.amp, 0.0
-        rho_b = _frobenius((x_q * f.sigma_q) @ f.y_q[:r] - b_state.amp)
-        frame_res = np.abs(coeffs - root_q[:, None] * f.sigma_q[perms]).max(axis=1)
+        rho_b = _frobenius((x_q * q.coeffs) @ q.right_basis[:r] - b_state.amp)
+        frame_res = np.abs(coeffs - root_q[:, None] * q.coeffs[perms]).max(axis=1)
         per_outcome = gain * frame_res + branch_err + root_q * rho_b
     else:
         mixture = np.bincount(perms.ravel(), (root_q[:, None] * coeffs).ravel(), r)
-        target = (x_q * mixture) @ f.y_q[:r]
+        target = (x_q * mixture) @ q.right_basis[:r]
         target_slack = float(root_q @ branch_err)
         frame_res = np.abs(coeffs - root_q[:, None] * mixture[perms]).max(axis=1)
         per_outcome = gain * frame_res + branch_err + root_q * target_slack
@@ -235,18 +240,18 @@ def verify(
     adds the bound on its error.  This path checks the frame, not the
     ``M``/``U`` arrays that ``run_once`` and ``estimate`` apply: it trusts
     that they are the frame's, which holds because ``synthesize`` builds
-    them from it as read-only views that cannot be made writeable again
-    (only a write through their ``.base`` gets round that).  Any other
+    them from it as read-only views that cannot be made writeable again.
+    The frame's arrays are frozen, but the stacks the views share (their
+    ``.base``) are only flag-locked, so a write through a ``.base`` made
+    writeable is the one way round that.  Any other
     protocol is checked on its dense operators, all K outcomes stacked at
     once: each branch ``M_k A U_k.T`` is computed once, and a stage-2
     protocol's intermediate state is their ``sqrt(q)``-weighted sum.  The
     stacks take about twice the memory of the operators the caller holds.
     ``M0`` and stage 2 are checked densely either way.
     """
+    _check_dims(protocol, a_state, b_state)
     da, db = protocol.dims
-    if a_state.dims != (da, db) or b_state.dims != (da, db):
-        raise InvalidInputError("state dimensions do not match the protocol")
-
     s2 = protocol.stage2
     weights = [out.q for out in protocol.outcomes] + ([] if s2 is None else [s2.p])
     if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails both comparisons
@@ -324,6 +329,7 @@ class RunTrace:
 
 def branch_weights(protocol: LoccProtocol, state: BipartiteState) -> np.ndarray:
     """Exact probabilities of every stage-1 branch (M0 last) on ``state``."""
+    _check_dims(protocol, state)
     ops = [out.M for out in protocol.outcomes] + [protocol.M0]
     return np.array([_norm_sq(op @ state.amp) for op in ops])
 
@@ -496,6 +502,7 @@ def estimate(
     if trials < 1:
         raise InvalidInputError("trials must be at least 1")
     trials = int(trials)
+    _check_dims(protocol, b_state)
 
     weights = branch_weights(protocol, a_state)
     total = float(weights.sum())

@@ -21,8 +21,8 @@ step.  Both stages and ``verify`` read the Schmidt form cached on each state,
 and every rank cutoff, ``p_max``'s zero test included, is ``bipartite``'s one.
 
 The ``outcomes`` of a synthesized protocol carry the Schmidt frame of A
-and Q they were built from (the bases, the spectra, the weights and one
-permutation per outcome, O(d^2) numbers), and ``verify`` checks stage 1
+and Q they were built from (the two Schmidt forms, one permutation and one
+row of ``M`` scales per outcome, O(d^2) numbers), and ``verify`` checks stage 1
 in that frame rather than on the dense ``M``/``U``, which are read-only.
 A protocol given any other ``outcomes`` has no frame and is checked
 densely.
@@ -36,11 +36,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import majorize
-from .bipartite import (
-    NORM_ATOL, BipartiteState, SchmidtForm, _spectral_rank, schmidt, squared_spectrum
-)
+from .bipartite import NORM_ATOL, BipartiteState, _spectral_rank, schmidt, squared_spectrum
 from .errors import InfeasibleError, InvalidInputError, UnsupportedShapeError
-from .numkit import as_matrix, hermitian_eigs, opnorm, transposition_unitary
+from .numkit import SchmidtForm, as_matrix, frozen, hermitian_eigs, opnorm, transposition_unitary
 
 #: Slack allowed when a requested probability sits right at the maximum.
 FEAS_ATOL = 1e-9
@@ -233,31 +231,21 @@ class StageTwo:
 
 
 class _StageOneFrame(NamedTuple):
-    """Stage 1 in the Schmidt bases of A and Q, from which every ``M``/``U`` follows.
+    """Stage 1 in the Schmidt forms ``a`` of A and ``q`` of Q (Q shares B's bases),
+    from which every ``M``/``U`` follows.
 
-    ``amp_A = x_a diag(sigma_a) y_a`` and ``amp_Q = x_q diag(sigma_q) y_q``
-    (Q shares B's bases).  Outcome ``k`` has weight ``weights[k]`` and
-    permutation ``perms[k]``: ``M_k`` sends A's ``i``-th left Schmidt vector,
-    ``i < r``, to ``scales()[k, i]`` times Q's ``perms[k, i]``-th, and
-    ``U_k* = y_q' P_k y_a``.  ``inv_s`` is ``1/sqrt(s)`` on the coordinates
-    the mixture ``s`` covers and 0 elsewhere.
+    With ``r = a.coeffs.size``, outcome ``k`` has permutation ``perms[k]``:
+    ``M_k`` sends A's ``i``-th left Schmidt vector, ``i < r``, to
+    ``scale[k, i]`` times Q's ``perms[k, i]``-th, and
+    ``U_k* = y_q' P_k y_a``.  ``scale[k, i] = sqrt(w_k) sigma_Q[pi_k(i)] / sqrt(s_i)``,
+    ``w_k`` the outcome's weight ``q`` (0 where the mixture ``s`` is 0), are all
+    the nonzero entries of ``M_k`` in the frame.
     """
 
-    x_a: np.ndarray
-    y_a: np.ndarray
-    x_q: np.ndarray
-    y_q: np.ndarray
-    sigma_a: np.ndarray
-    sigma_q: np.ndarray
-    weights: np.ndarray
+    a: SchmidtForm
+    q: SchmidtForm
     perms: np.ndarray
-    inv_s: np.ndarray
-    r: int
-
-    def scales(self) -> np.ndarray:
-        """``K x r`` factors ``sqrt(w_k) sigma_Q[pi_k(i)] / sqrt(s_i)``, the ``M_k`` entries
-        in the Schmidt frame (all its nonzero ones)."""
-        return np.sqrt(self.weights)[:, None] * self.sigma_q[self.perms[:, :self.r]] * self.inv_s
+    scale: np.ndarray
 
 
 class _FrameOutcomes(tuple):
@@ -295,24 +283,21 @@ def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_FrameOutcomes, np.nda
     is the mixture the terms actually extract (``a`` up to roundoff), so
     ``sum M'M`` is exactly the projector onto the coordinates with ``s > 0``;
     ``M0`` projects onto every other left Schmidt vector of A, those beyond
-    the rank cutoff included.  The frame's arrays and both stacks are
-    read-only, and so is every view of them.
+    the rank cutoff included.  The frame's arrays are frozen; both stacks are
+    read-only, and so is every view of them, but the stacks themselves (each
+    ``M``/``U``'s ``.base``) are only flag-locked, not copied into frozen memory.
     """
     r = fa.coeffs.size
     weights, perms, s = _mixing_terms(fa.coeffs**2, fq.coeffs**2, fa.right_basis.shape[0])
     keep = s > 0.0
     inv_s = np.where(keep, 1.0 / np.sqrt(np.where(keep, s, 1.0)), 0.0)
-    frame = _StageOneFrame(
-        x_a=fa.left_basis, y_a=fa.right_basis, x_q=fq.left_basis, y_q=fq.right_basis,
-        sigma_a=fa.coeffs, sigma_q=fq.coeffs, weights=weights, perms=perms, inv_s=inv_s, r=r,
-    )
+    scale = np.sqrt(weights)[:, None] * fq.coeffs[perms[:, :r]] * inv_s
+    frame = _StageOneFrame(fa, fq, frozen(perms), frozen(scale))
     m = fq.left_basis.T[perms[:, :r]]  # m[k, i] is column perms[k, i] of X_Q
-    m *= frame.scales()[:, :, None]
+    m *= scale[:, :, None]
     m = m.swapaxes(1, 2) @ fa.left_basis[:, :r].conj().T
     u = (fq.right_basis[perms].conj().swapaxes(1, 2) @ fa.right_basis).conj()
-    for value in (*frame, m, u):
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+    m.flags.writeable = u.flags.writeable = False
     outcomes = _FrameOutcomes(map(StageOneOutcome, weights.tolist(), m, u))
     outcomes.frame = frame
     null = np.ones(fa.left_basis.shape[0], dtype=bool)
@@ -400,8 +385,8 @@ def synthesize(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Loc
         outcomes, m0 = _stage_one(fa, fb)
         stage2 = None
     else:
-        coeffs_q = np.sqrt(_intermediate(fb.coeffs**2, p_num))
-        fq = SchmidtForm(left_basis=fb.left_basis, coeffs=coeffs_q, right_basis=fb.right_basis)
+        coeffs_q = frozen(np.sqrt(_intermediate(fb.coeffs**2, p_num)))
+        fq = SchmidtForm(fb.left_basis, coeffs_q, fb.right_basis)
         outcomes, m0 = _stage_one(fa, fq)
         stage2 = StageTwo(p_num, *_stage_two(fq, fb, p_num))
 
@@ -426,7 +411,7 @@ def reduce_bob(m, psi: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
     For a square state ``psi`` and a contraction ``m`` on Bob's system,
     returns ``(N, U)`` with ``amp @ m.T == N @ amp @ U.T``, ``U`` unitary and
     ``||N|| <= ||m||``.  Built from the transposition unitaries of the
-    amplitude matrix and of ``m @ amp.T``.
+    amplitude matrix (from its cached Schmidt form) and of ``m @ amp.T``.
 
     Only square amplitude matrices are supported: the transposition unitary
     is defined for square operators only.
@@ -441,7 +426,8 @@ def reduce_bob(m, psi: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError(f"operator shape {mm.shape} does not act on dim {db}")
     if opnorm(mm) > 1.0 + 1e-10:
         raise InvalidInputError("operator is not a contraction (||m|| > 1)")
-    k_psi = transposition_unitary(psi.amp)
+    fp = schmidt(psi)
+    k_psi = fp.right_basis.T @ fp.left_basis.conj().T  # transposition unitary of amp
     k_mpt = transposition_unitary(mm @ psi.amp.T)
     n = k_mpt @ mm @ k_psi
     u = k_mpt.conj().T @ k_psi.conj().T

@@ -52,8 +52,13 @@ def test_state_amp_is_frozen():
     s = from_schmidt([1.0], 2, 2)
     with pytest.raises(ValueError):
         s.amp[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        s.amp.flags.writeable = True
+    f = schmidt(s)
+    # Neither the arrays nor the arrays they are views of can be made writeable.
+    for value in (s.amp, s.amp.base, f.left_basis, f.coeffs, f.right_basis):
+        for a in (value, value.base):
+            if isinstance(a, np.ndarray):
+                with pytest.raises(ValueError):
+                    a.flags.writeable = True
 
 
 def test_schmidt_product_state():

@@ -180,6 +180,19 @@ def test_simulate_negative_seed_exits_2(state_files, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_states_of_other_dimensions_exit_2(state_files, tmp_path):
+    bell_path, skew_path = state_files
+    proto_path, three = tmp_path / "proto.json", tmp_path / "three.json"
+    run_cli("synthesize", skew_path, bell_path, "--p", "0.4", "-o", str(proto_path))
+    save_state(from_schmidt([0.5, 0.3, 0.2], 3, 3), str(three))
+    for command in ("simulate", "verify"):
+        proc = run_cli(command, str(proto_path), str(three), str(three))
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "invalid-input"
+        assert "error: state dimensions do not match" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "command, edit",
     [

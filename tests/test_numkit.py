@@ -18,13 +18,13 @@ from helpers import random_complex, random_unitary
 
 def test_svd_identity():
     t = svd(np.eye(2))
-    assert np.allclose(t.sigma, [1.0, 1.0])
+    assert np.allclose(t.coeffs, [1.0, 1.0])
     assert np.allclose(t.reconstruct(), np.eye(2), atol=1e-14)
 
 
 def test_svd_diagonal_values():
     t = svd(np.diag([2.0, 1.0]))
-    assert np.allclose(t.sigma, [2.0, 1.0])
+    assert np.allclose(t.coeffs, [2.0, 1.0])
 
 
 def test_svd_random_reconstruction():
@@ -47,10 +47,10 @@ def test_svd_reconstruction_sweep():
         else:
             g = random_complex(rows, cols, rng)
         t = svd(g)
-        assert np.all(np.diff(t.sigma) <= 1e-14)
-        assert opnorm(t.reconstruct() - g) <= 1e-10 * max(t.sigma[0], 1e-300)
-        assert unitarity_defect(t.x) <= 1e-12
-        assert unitarity_defect(t.y) <= 1e-12
+        assert np.all(np.diff(t.coeffs) <= 1e-14)
+        assert opnorm(t.reconstruct() - g) <= 1e-10 * max(t.coeffs[0], 1e-300)
+        assert unitarity_defect(t.left_basis) <= 1e-12
+        assert unitarity_defect(t.right_basis) <= 1e-12
 
 
 def test_svd_rejects_nonfinite():

@@ -79,6 +79,20 @@ def test_verify_dimension_mismatch():
         verify(proto, from_schmidt([1.0], 3, 3), SKEW)
 
 
+def test_other_dimensions_rejected_by_every_entry_point():
+    proto = synthesize(SKEW, BELL, 0.4)
+    other = from_schmidt([0.5, 0.3, 0.2], 3, 3)
+    calls = (
+        lambda: branch_weights(proto, other),
+        lambda: run_once(proto, other, trial_rng(0, 0)),
+        lambda: estimate(proto, other, BELL, trials=10),
+        lambda: estimate(proto, SKEW, other, trials=10),
+    )
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="state dimensions"):
+            call()
+
+
 def test_verify_report_fields_finite():
     proto = synthesize(SKEW, BELL, 0.4)
     report = verify(proto, SKEW, BELL)
@@ -376,6 +390,11 @@ def test_frame_outcomes_are_read_only():
                 op[0, 0] = 1.0
             with pytest.raises(ValueError):
                 op.flags.writeable = True
+    for f in (outcomes.frame, synthesize(SKEW, BELL, 0.4).outcomes.frame):
+        for value in (f.perms, f.scale, f.q.coeffs):
+            for a in (value, value.base):
+                with pytest.raises(ValueError):
+                    a.flags.writeable = True
     rest = outcomes[1:]
     assert type(rest) is tuple and rest[0] is outcomes[1]
     replaced = dataclasses.replace(proto, outcomes=outcomes[:1] + rest)

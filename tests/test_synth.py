@@ -486,18 +486,23 @@ def test_synthesize_max_is_feasibility_pmax():
         assert synthesize(a, b, "max").p_total == feasibility(a, b).p_max
 
 
-def test_one_schmidt_decomposition_per_state(monkeypatch):
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of every ``numkit.svd`` call, under whichever module name it was imported."""
     calls, original = [], numkit.svd
 
     def counted_svd(m):
         calls.append(np.shape(m))
         return original(m)
 
-    # Count every numkit.svd call, under whichever module name it was imported.
     for mod in (numkit, bipartite, majorize, synth, simulate, cli):
         if vars(mod).get("svd") is original:
             monkeypatch.setattr(mod, "svd", counted_svd)
+    return calls
 
+
+def test_one_schmidt_decomposition_per_state(svd_calls):
+    calls = svd_calls
     rng = np.random.default_rng(71)
     s = random_state(3, 5, rng)
     form = schmidt(s)
@@ -612,13 +617,17 @@ def test_stage_one_stack_equals_per_outcome_loop():
         p = max_probability(a, b)
         proto = synthesize(a, b, p / 2 if 0.0 < p < 1.0 else "max")
         f = proto.outcomes.frame
-        x_a_adj, y_q_adj = f.x_a[:, :f.r].conj().T, f.y_q.conj().T
-        assert len(proto.outcomes) == len(f.weights)
-        for out, w, pi in zip(proto.outcomes, f.weights, f.perms):
-            m = (f.x_q[:, pi[:f.r]] * (np.sqrt(w) * f.sigma_q[pi[:f.r]] * f.inv_s)) @ x_a_adj
+        r = f.a.coeffs.size
+        weights, _, s = synth._mixing_terms(f.a.coeffs**2, f.q.coeffs**2, f.a.right_basis.shape[0])
+        inv_s = np.where(s > 0.0, 1.0 / np.sqrt(np.where(s > 0.0, s, 1.0)), 0.0)
+        x_a_adj, y_q_adj = f.a.left_basis[:, :r].conj().T, f.q.right_basis.conj().T
+        assert len(proto.outcomes) == len(weights) == len(f.scale)
+        for out, w, pi, scale in zip(proto.outcomes, weights, f.perms, f.scale):
+            assert np.array_equal(scale, np.sqrt(w) * f.q.coeffs[pi[:r]] * inv_s)
+            m = (f.q.left_basis[:, pi[:r]] * scale) @ x_a_adj
             assert out.q == float(w)
             assert np.array_equal(out.M, m)
-            assert np.array_equal(out.U, (y_q_adj[:, pi] @ f.y_a).conj())
+            assert np.array_equal(out.U, (y_q_adj[:, pi] @ f.a.right_basis).conj())
 
 
 def test_synthesize_stage2_satisfies_pure_necessity():
@@ -675,6 +684,16 @@ def test_reduce_bob_real_diagonal_degenerate():
     m = np.real(random_contraction(3, rng))
     m = m / max(1.0, np.linalg.norm(m, 2))
     n, u = reduce_bob(m, psi)
+    assert opnorm(psi.amp @ m.T - n @ psi.amp @ u.T) <= 1e-12
+
+
+def test_reduce_bob_reads_the_cached_form(svd_calls):
+    psi = random_state(4, 4, np.random.default_rng(73))
+    schmidt(psi)
+    svd_calls.clear()
+    m = 0.5 * np.eye(4)
+    n, u = reduce_bob(m, psi)
+    assert len(svd_calls) == 1  # of m @ amp.T; amp's own form is cached
     assert opnorm(psi.amp @ m.T - n @ psi.amp @ u.T) <= 1e-12
 
 
