@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .bipartite import NORM_ATOL, BipartiteState
 from .errors import InfeasibleError, LoccForgeError
+from .numkit import opnorm
 from .simulate import VERIFY_TOL, estimate, verify
 from .synth import (
     LoccProtocol,
@@ -304,13 +305,8 @@ def cmd_reduce_bob(args) -> int:
     m = load_operator(args.operator)
     psi = load_state(args.state, args.renormalize)
     n, u = reduce_bob(m, psi)
-    residual = float(np.linalg.norm(psi.amp @ m.T - n @ psi.amp @ u.T, 2))
-    payload = {
-        "N": matrix_to_json(n),
-        "U": matrix_to_json(u),
-        "residual": residual,
-    }
-    _emit(payload, args.output)
+    residual = opnorm(psi.amp @ m.T - n @ psi.amp @ u.T)
+    _emit({"N": matrix_to_json(n), "U": matrix_to_json(u), "residual": residual}, args.output)
     print(f"identity residual {residual:.3e}", file=sys.stderr)
     return EXIT_OK
 

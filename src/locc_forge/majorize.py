@@ -3,11 +3,12 @@
 Vectors here are entanglement spectra: non-negative weights, compared after
 sorting and zero-padding to a common length. The constructive half writes
 ``a < q`` as a mix of at most ``d`` permutations of ``q``, which is all
-synthesis needs: the pair is split in halves down to single entries, and
-one sweep over the splits' breakpoints on the weight axis reads off the
-permutations and their weights. The bistochastic matrix of that mix,
-greedy Birkhoff extraction over perfect matchings and pruning to the
-Caratheodory bound ``(d-1)**2 + 1`` remain as matrix-level reference tools.
+synthesis needs: the pair is split in halves down to single entries, each
+half inheriting the head sums its parent holds, and one sweep over the
+splits' breakpoints on the weight axis reads off the permutations and their
+weights. The bistochastic matrix of that mix, greedy Birkhoff extraction over
+perfect matchings and pruning to the Caratheodory bound ``(d-1)**2 + 1``
+remain as matrix-level reference tools.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import InfeasibleError, InvalidInputError, NumericalDegeneracyError
 SUM_TOL = 1e-10
 #: How far below zero a "non-negative" spectrum entry may sit.
 NEG_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 _RELATIONS = ("maj", "sub", "super")
 
@@ -83,7 +85,9 @@ def _permutation_terms(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     the permutahedron of ``q`` (Rado) and at most ``n`` terms are needed.
     Each pair is split in two (``_split``), down to single entries; the
     splits run from an explicit stack of pending pairs, left half first, so
-    no call nests deeper than this one, whatever ``n``.
+    no call nests deeper than this one, whatever ``n``.  Only the root and
+    each right half take fresh head sums: a left half inherits a prefix of
+    its parent's, bit-equal to fresh ones because a 1-D ``cumsum`` adds in order.
 
     The terms are read off the split tree on one weight axis ``[0, 1)``.
     The root owns all of it; a node owning ``[g0, g0 + span)`` splits at
@@ -96,22 +100,22 @@ def _permutation_terms(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     the weights; a gap that rounding leaves at or below 0 is dropped.
     """
     n = len(a)
-    pending = [(a, q, np.arange(n), 0, 0.0, 1.0)]  # pair, its root coords, q offset, g0, span
+    pending = [(a, q, np.arange(n), 0, 0.0, 1.0, None)]  # pair, root coords, offset, g0, span, sums
     breaks: list[float] = []  # in the order split, so a parent precedes its children
     moves: list[tuple[np.ndarray, np.ndarray]] = []  # root coords and the q indices they take
     while pending:
-        a, q, roots, off, g0, span = pending.pop()
+        a, q, roots, off, g0, span, sums = pending.pop()
         if len(a) == 1:
             continue
-        x, order, k, t = _split(a, q)
+        x, order, k, t, (left, right) = _split(a, q, sums)
         b = g0 + span * (1.0 - 1.0 / t)
         roots = roots[order]
         breaks.append(b)
         moves.append((roots, np.arange(off, off + len(a))))
         span /= t
         pending += [
-            (x[k:], q[k:], roots[k:], off + k, b, span),
-            (x[:k], q[:k], roots[:k], off, b, span),
+            (x[k:], q[k:], roots[k:], off + k, b, span, right),
+            (x[:k], q[:k], roots[:k], off, b, span, left),
         ]
     sweep = np.argsort(breaks, kind="stable")
     gaps = np.diff(np.concatenate(([0.0], np.sort(breaks), [1.0])))
@@ -125,36 +129,39 @@ def _permutation_terms(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     return gaps[live], perms[live]
 
 
-def _split(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+def _split(a: np.ndarray, q: np.ndarray, sums: tuple | None = None) -> tuple:
     """Split of a pair ``a < q`` (``n >= 2``) into two halves at ``k``.
 
     A tight interior prefix splits the pair as it is (``t = 1``).  Otherwise
     the ray from the vertex ``q`` through ``a`` leaves the permutahedron at
     ``x = q + t (a - q)``, on the first face where a top-``k`` sum of ``x``
     reaches ``sum(q[:k])``; Newton (Dinkelbach) steps on those sums find
-    ``t``, so ``a = x / t + (1 - 1/t) q``.  Returns ``x`` sorted by ``order``
-    (``a`` itself when ``t = 1``), ``order``, ``k`` and ``t``.
+    ``t``, so ``a = x / t + (1 - 1/t) q``.  ``sums`` is ``(cumsum(q), cumsum(a))``
+    or None.  Returns ``x`` sorted by ``order`` (``a`` itself when ``t = 1``),
+    ``order``, ``k``, ``t`` and the sums for the left and right halves (or None).
     """
     n = len(a)
-    head_q = np.cumsum(q)
-    gap = np.cumsum(a) - head_q
+    head_q, head_x = (q.cumsum(), a.cumsum()) if sums is None else sums
+    gap = head_x - head_q
     # A prefix within the totals' mismatch (plus roundoff) of tight counts as
     # tight; otherwise a[-1] > q[-1], so the walk below has step[-1] > 0.
-    slack = abs(gap[-1]) + n * np.finfo(float).eps * head_q[-1]
-    k = int(np.argmax(gap[:-1])) + 1
+    slack = abs(gap[-1]) + n * _EPS * head_q[-1]
+    k = int(gap[:-1].argmax()) + 1
     if gap[k - 1] >= -slack:
-        return a, np.arange(n), k, 1.0
+        return a, np.arange(n), k, 1.0, ((head_q[:k], head_x[:k]), None)
     step = a - q
     t = (q[0] - q[-1]) / step[-1]  # where the last entry of x reaches q[0]
     while True:
         x = q + t * step
-        order = np.argsort(-x, kind="stable")
-        k = int(np.argmax(np.cumsum(x[order])[:-1] - head_q[:-1])) + 1
+        order = (-x).argsort(kind="stable")
+        x = x[order]
+        head_x = x.cumsum()
+        k = int((head_x[:-1] - head_q[:-1]).argmax()) + 1
         t_next = (head_q[k - 1] - q[order[:k]].sum()) / step[order[:k]].sum()
         if not 1.0 < t_next < t:
             break
         t = t_next
-    return x[order], order, k, t
+    return x, order, k, t, ((head_q[:k], head_x[:k]), None)
 
 
 def bistochastic_link(a, q) -> np.ndarray:

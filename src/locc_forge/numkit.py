@@ -45,15 +45,26 @@ def rect_diag(values, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def opnorm(m) -> float:
-    """Operator norm (largest singular value)."""
-    return float(np.linalg.norm(np.asarray(m), 2))
+def _hermitian_norms(h: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of Hermitian matrices: each one's largest |eigenvalue|."""
+    e = np.linalg.eigvalsh(h)
+    return np.maximum(-e[..., 0], e[..., -1])
 
 
-def unitarity_defect(u) -> float:
-    """Operator-norm distance of ``u.conj().T @ u`` from the identity."""
+def opnorm(m):
+    """Operator norm of a matrix (a float) or of each in a stack (an array): the
+    square root of the top eigenvalue of the smaller Gram matrix ``m m'`` or ``m'm``."""
+    m = np.asarray(m)
+    adj = np.conj(np.swapaxes(m, -1, -2))
+    norms = np.sqrt(_hermitian_norms(m @ adj if m.shape[-2] <= m.shape[-1] else adj @ m))
+    return float(norms) if norms.ndim == 0 else norms
+
+
+def unitarity_defect(u):
+    """Operator-norm distance of ``u'u`` from the identity, for one matrix or a stack."""
     u = np.asarray(u)
-    return opnorm(u.conj().T @ u - np.eye(u.shape[1]))
+    defects = _hermitian_norms(np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(u.shape[-1]))
+    return float(defects) if defects.ndim == 0 else defects
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

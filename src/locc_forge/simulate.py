@@ -2,14 +2,15 @@
 
 ``verify`` recomputes every defining identity of a synthesized protocol and
 reports the residuals.  It takes every operator norm from the Hermitian
-eigenvalues of a Gram matrix (or of a defect that is Hermitian already)
-rather than from an SVD.  The protocol's data picks how stage 1 is checked:
-the outcomes of a protocol from ``synthesize`` carry their Schmidt frame,
-and stage 1 is checked there in O(d^3 + K d), each residual reported as an
-upper bound on the dense one (the frame term plus the basis and
-reconstruction defects, see ``_frame_stage_one``); any other protocol is
-checked on its dense operators, all K outcomes stacked at once.  ``M0`` and
-stage 2 are checked densely either way.
+eigenvalues of a Gram matrix (or of a defect that is Hermitian already,
+``numkit.opnorm``), never from an SVD, and decomposes no intermediate
+state.  The protocol's data picks how stage 1 is checked: the outcomes of
+a protocol from ``synthesize`` carry their Schmidt frame, and stage 1 is
+checked there in O(d^3 + K d), each residual reported as an upper bound
+on the dense one (the frame term plus the basis and reconstruction
+defects, see ``_frame_stage_one``); any other protocol is checked on its
+dense operators, all K outcomes stacked at once.  ``M0`` and stage 2 are
+checked densely either way.
 
 ``run_once``/``estimate`` execute the protocol as a sampled measurement with
 classical communication.  Outcome probabilities are always recomputed from
@@ -36,9 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bipartite import BipartiteState, fidelity
+from .bipartite import BipartiteState, fidelity, schmidt
 from .errors import InvalidInputError
-from .synth import LoccProtocol, _flow_balance
+from .numkit import _hermitian_norms, opnorm, unitarity_defect
+from .synth import LoccProtocol
 
 #: Default residual tolerance of ``verify`` and of ``locc-forge verify``.
 VERIFY_TOL = 1e-9
@@ -59,8 +61,9 @@ class VerificationReport:
     unitarity_residuals          || U'U - I || for every Bob unitary (and V)
     norm_bounds                  contraction excesses max(0, ||.|| - 1)
     substochastic_balance_residual
-                                 stage-2 flow-balance and row/column-sum
-                                 excess of the outcome-flow matrix
+                                 stage-2 flow-balance defect of the
+                                 outcome-flow matrix, or ||N||^2 - 1 (which
+                                 bounds its row/column-sum excess) if larger
     """
 
     completeness_residual: float
@@ -102,18 +105,6 @@ def _check_dims(protocol: LoccProtocol, *states: BipartiteState) -> None:
         raise InvalidInputError("state dimensions do not match the protocol")
 
 
-def _hermitian_norms(h: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack of Hermitian matrices: each one's largest |eigenvalue|."""
-    e = np.linalg.eigvalsh(h)
-    return np.maximum(-e[..., 0], e[..., -1])
-
-
-def _opnorms(m: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack of matrices, from the eigenvalues of the smaller Gram."""
-    adj = np.conj(np.swapaxes(m, -1, -2))
-    return np.sqrt(_hermitian_norms(m @ adj if m.shape[-2] <= m.shape[-1] else adj @ m))
-
-
 class _StageOneChecks(NamedTuple):
     """Stage-1 residuals, the intermediate state and a bound on its error."""
 
@@ -141,8 +132,8 @@ def _dense_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: B
     for g in gram:  # in outcome order
         acc += g
     return _StageOneChecks(
-        per_outcome=_opnorms(branches - root_q * target),
-        unitarity=_hermitian_norms(np.conj(np.swapaxes(u, 1, 2)) @ u - np.eye(db)),
+        per_outcome=opnorm(branches - root_q * target),
+        unitarity=unitarity_defect(u),
         m_norms=np.sqrt(_hermitian_norms(gram)),
         m0_norm=m0_norm,
         completeness=float(_hermitian_norms(acc - np.eye(da))),
@@ -230,7 +221,10 @@ def verify(
     Every operator norm is the largest |eigenvalue| of a Hermitian matrix:
     ``||X||`` is the square root of the top eigenvalue of the smaller Gram
     matrix ``X X'`` or ``X'X``, and the completeness and unitarity defects
-    are Hermitian already.
+    are Hermitian already.  The stage-2 flow balance decomposes no ``T``:
+    ``S.T a`` is the squared row norms of ``X_B' N T / ||T||``, and
+    ``||N||^2 - 1`` bounds the row and column sums of ``S`` (``inf`` if
+    ``T = 0``), so it is at least the balance of the decomposed ``T``.
 
     The protocol's data picks how stage 1 is checked.  The outcomes of a
     synthesized protocol carry their Schmidt frame (``outcomes.frame``), and
@@ -251,7 +245,7 @@ def verify(
     ``M0`` and stage 2 are checked densely either way.
     """
     _check_dims(protocol, a_state, b_state)
-    da, db = protocol.dims
+    da = protocol.dims[0]
     s2 = protocol.stage2
     weights = [out.q for out in protocol.outcomes] + ([] if s2 is None else [s2.p])
     if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails both comparisons
@@ -261,38 +255,28 @@ def verify(
         protocol, a_state, b_state
     )
 
-    ident_a, ident_b = np.eye(da), np.eye(db)
     unitarity = u_defects.tolist()
     norms = np.maximum(m_norms - 1.0, 0.0).tolist()
     norms.append(max(0.0, m0_norm - 1.0))
 
-    if s2 is None:
-        stage2_residual = 0.0
-        balance = 0.0
-    else:
-        v_defect = float(_hermitian_norms(s2.V.conj().T @ s2.V - ident_b))
-        n_norm = float(_opnorms(s2.N))
+    stage2_residual = balance = 0.0
+    if s2 is not None:
+        v_defect = unitarity_defect(s2.V)
+        n_norm = opnorm(s2.N)
         unitarity.append(v_defect)
         norms.append(max(0.0, n_norm - 1.0))
-        map_defect = float(_opnorms(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp))
+        map_defect = opnorm(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp)
         if target_slack:
             map_defect += n_norm * math.sqrt(1.0 + v_defect) * target_slack
-        completion = _hermitian_norms(
-            s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - ident_a
-        )
-        stage2_residual = max(map_defect, float(completion))
-
+        completion = s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - np.eye(da)
+        stage2_residual = max(map_defect, float(_hermitian_norms(completion)))
         norm_t = float(np.linalg.norm(target))
-        inter = BipartiteState(target / norm_t) if norm_t > 0 else None
-        if inter is None:
-            balance = float("inf")
-        else:
-            flow, balance = _flow_balance(s2.N, inter, b_state, s2.p)
-            balance = max(
-                balance,
-                max(0.0, float(np.max(flow.sum(axis=0))) - 1.0),
-                max(0.0, float(np.max(flow.sum(axis=1))) - 1.0),
-            )
+        balance = float("inf")
+        if norm_t > 0:
+            fb = schmidt(b_state)
+            flow = (np.abs(fb.left_basis.conj().T @ s2.N @ (target / norm_t)) ** 2).sum(axis=1)
+            flow[: fb.coeffs.size] -= s2.p * fb.coeffs**2
+            balance = max(float(np.abs(flow).max()), n_norm**2 - 1.0)
 
     report = VerificationReport(
         completeness_residual=float(completeness),

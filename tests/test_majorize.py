@@ -14,7 +14,9 @@ from locc_forge.majorize import (
     compare,
 )
 
-from helpers import comparable_spectra, random_bistochastic
+from locc_forge.synth import synthesize
+
+from helpers import comparable_spectra, random_bistochastic, reproducer_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +305,67 @@ def _merge_halves(w_l, p_l, w_r, p_r, order, k, t):
     return weights, perms
 
 
+def _reference_split(a, q):
+    """``majorize._split`` with every head sum taken afresh, as it was before
+    the splits handed their sums down: the reference for the bit-for-bit test."""
+    n = len(a)
+    head_q = np.cumsum(q)
+    gap = np.cumsum(a) - head_q
+    slack = abs(gap[-1]) + n * np.finfo(float).eps * head_q[-1]
+    k = int(np.argmax(gap[:-1])) + 1
+    if gap[k - 1] >= -slack:
+        return a, np.arange(n), k, 1.0
+    step = a - q
+    t = (q[0] - q[-1]) / step[-1]
+    while True:
+        x = q + t * step
+        order = np.argsort(-x, kind="stable")
+        k = int(np.argmax(np.cumsum(x[order])[:-1] - head_q[:-1])) + 1
+        t_next = (head_q[k - 1] - q[order[:k]].sum()) / step[order[:k]].sum()
+        if not 1.0 < t_next < t:
+            break
+        t = t_next
+    return x[order], order, k, t
+
+
+def _reference_permutation_terms(a, q):
+    """``majorize._permutation_terms`` on ``_reference_split``: the same stack
+    of pending pairs and the same sweep, with no sums handed down."""
+    n = len(a)
+    pending = [(a, q, np.arange(n), 0, 0.0, 1.0)]
+    breaks, moves = [], []
+    while pending:
+        a, q, roots, off, g0, span = pending.pop()
+        if len(a) == 1:
+            continue
+        x, order, k, t = _reference_split(a, q)
+        b = g0 + span * (1.0 - 1.0 / t)
+        roots = roots[order]
+        breaks.append(b)
+        moves.append((roots, np.arange(off, off + len(a))))
+        span /= t
+        pending += [
+            (x[k:], q[k:], roots[k:], off + k, b, span),
+            (x[:k], q[:k], roots[:k], off, b, span),
+        ]
+    sweep = np.argsort(breaks, kind="stable")
+    gaps = np.diff(np.concatenate(([0.0], np.sort(breaks), [1.0])))
+    perms = np.empty((len(breaks) + 1, n), dtype=np.intp)
+    perms[0] = perm = np.arange(n)
+    for row, i in enumerate(sweep, 1):
+        roots, target = moves[i]
+        perm[roots] = target
+        perms[row] = perm
+    live = gaps > 0.0
+    return gaps[live], perms[live]
+
+
 def _recursive_terms(a, q):
     """Reference: the same splits, recursed, with the halves' terms merged
     by cumulative weight at every split."""
     if len(a) == 1:
         return np.ones(1), np.zeros((1, 1), dtype=np.intp)
-    x, order, k, t = majorize._split(a, q)
+    x, order, k, t = _reference_split(a, q)
     left, right = _recursive_terms(x[:k], q[:k]), _recursive_terms(x[k:], q[k:])
     return _merge_halves(*left, *right, order, k, t)
 
@@ -352,6 +409,29 @@ def test_permutation_terms_match_merged_reference_on_tied_chains():
         terms = _permutation_terms(a, q)
         _assert_terms_match(terms, _recursive_terms(a, q), d)
         assert np.abs(terms[0] @ q[terms[1]] - a).max() <= 1e-15, d
+
+
+def test_permutation_terms_equal_fresh_sum_reference_bit_for_bit(monkeypatch):
+    # Handing a split's head sums down to its left half changes no bit: a
+    # 1-D cumsum adds in order, so a prefix of it equals the cumsum of the
+    # prefix.  Same families and seeds as the merged-reference tests, and
+    # every pair that synthesize(A, B, "max") decomposes on the reproducer.
+    rng, chains = np.random.default_rng(23), np.random.default_rng(24)
+    cases = [_link_spectrum(kind, d, rng)
+             for kind in ("dense", "sparse", "tied", "rank-drop") for d in range(1, 33)]
+    cases += [_tied_chain(d, chains) for d in range(2, 33)]
+    original = majorize._permutation_terms
+    monkeypatch.setattr(majorize, "_permutation_terms",
+                        lambda a, q: cases.append((a, q)) or original(a, q))
+    for sa, sb in reproducer_pairs():
+        synthesize(sa, sb, "max")
+    monkeypatch.undo()
+    assert len(cases) > 500
+    for i, (a, q) in enumerate(cases):
+        weights, perms = _permutation_terms(a, q)
+        ref_weights, ref_perms = _reference_permutation_terms(a, q)
+        assert np.array_equal(weights, ref_weights), i
+        assert np.array_equal(perms, ref_perms), i
 
 
 def test_permutation_terms_equal_vectors_one_term():

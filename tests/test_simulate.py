@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from locc_forge import simulate
-from locc_forge.bipartite import fidelity, from_schmidt
+from locc_forge.bipartite import fidelity, from_schmidt, schmidt
 from locc_forge.errors import InvalidInputError
 from locc_forge.simulate import (
     EstimateResult,
@@ -188,8 +188,15 @@ def _assert_frame_bounds_dense(framed, checked):
 
 def _assert_matches_reference(protocol, a_state, b_state):
     """``verify`` agrees with the SVD reference, on the dense path too for a framed
-    protocol, whose frame report must also bound the dense one."""
+    protocol, whose frame report must also bound the dense one.
+
+    The flow balance is the one bound: ``verify`` replaces the row and column
+    sums of the flow matrix with ``||N||^2 - 1``, so its balance lies between
+    the reference's and the larger of that and ``||N||^2 - 1``."""
     ref = _reference_verify(protocol, a_state, b_state)
+    balance_cap = ref.substochastic_balance_residual
+    if protocol.stage2 is not None:
+        balance_cap = max(balance_cap, _svd_norm(protocol.stage2.N) ** 2 - 1.0)
     protocols = [protocol] if _frame(protocol) is None else [_dense(protocol), protocol]
     reports = [verify(proto, a_state, b_state) for proto in protocols]
     for report in reports:
@@ -199,6 +206,9 @@ def _assert_matches_reference(protocol, a_state, b_state):
             got, want = getattr(report, field.name), getattr(ref, field.name)
             got, want = np.atleast_1d(got).astype(float), np.atleast_1d(want).astype(float)
             assert got.shape == want.shape, field.name
+            if field.name == "substochastic_balance_residual":
+                assert want - 1e-13 <= got <= balance_cap + 1e-13
+                continue
             assert np.all(np.abs(got - want) <= 1e-13 + 1e-12 * np.abs(want)), field.name
     if len(reports) == 2:
         _assert_frame_bounds_dense(reports[1], reports[0])
@@ -234,6 +244,21 @@ def _split_outcomes(protocol, copies):
 def _split_past(protocol, count):
     """``protocol`` with its outcomes split evenly into more than ``count``."""
     return _split_outcomes(protocol, count // len(protocol.outcomes) + 1)
+
+
+def _unbalanced(protocol, b_state, excess):
+    """``protocol`` with its stage-2 ``N`` stretched along B's first left Schmidt
+    vector, ``N -> (1 + eps P) N``, so that the flow into that coordinate
+    exceeds ``p sigma_B0^2`` by ``excess``, and ``N_fail`` rebuilt to keep the
+    instrument complete.  The map residual grows by ``eps sqrt(p) sigma_B0``."""
+    s2 = protocol.stage2
+    fb = schmidt(b_state)
+    eps = excess / (2.0 * s2.p * fb.coeffs[0] ** 2)
+    x0 = fb.left_basis[:, :1]
+    n = s2.N + eps * x0 @ (x0.conj().T @ s2.N)
+    e, v = np.linalg.eigh(np.eye(len(n)) - n.conj().T @ n)
+    n_fail = (v * np.sqrt(np.clip(e, 0.0, None))) @ v.conj().T
+    return dataclasses.replace(protocol, stage2=dataclasses.replace(s2, N=n, N_fail=n_fail))
 
 
 def _verify_cases():
@@ -283,6 +308,15 @@ def test_verify_matches_svd_reference(name):
     report = _assert_matches_reference(proto, a, b)
     corrupted = name.endswith(("M-scaled", "U-nudged", "U-swapped"))
     assert report.passed is not corrupted
+    if proto.stage2 is not None and proto.stage2.p > 0.0 and not corrupted:
+        # An N that breaks the flow balance is rejected on either path.
+        unbalanced = _unbalanced(proto, b, 1e-6)
+        ref = _reference_verify(unbalanced, a, b)
+        assert ref.substochastic_balance_residual > 1e-7
+        for checked in (unbalanced, _dense(unbalanced)):
+            report = verify(checked, a, b)
+            assert not report.passed
+            assert report.substochastic_balance_residual >= ref.substochastic_balance_residual - 1e-13
 
 
 def test_verify_matches_svd_reference_on_contract_reproducer():
@@ -306,6 +340,21 @@ def test_verify_matches_svd_reference_on_contract_reproducer():
     # Ratchet on the synthesize => verify contract: 2 draws still fail (88
     # and 327), both with a source Schmidt coefficient squared below 6e-14.
     assert failures <= 2
+
+
+def test_verify_rejects_a_stage_two_that_breaks_only_the_balance():
+    # At p = 0.99 on B = (0.99, 0.01) the flow excess is 1.98 times the map
+    # residual, so an excess of 1.5e-9 leaves every other residual below 1e-9.
+    sa, sb = from_schmidt([0.5, 0.5], 2, 2), from_schmidt([0.99, 0.01], 2, 2)
+    proto = _unbalanced(synthesize(sa, sb, 0.99), sb, 1.5e-9)
+    assert _frame(proto) is not None
+    for checked in (proto, _dense(proto)):
+        report = verify(checked, sa, sb)
+        assert not report.passed
+        assert report.substochastic_balance_residual > 1.4e-9
+        others = dataclasses.replace(report, substochastic_balance_residual=0.0)
+        assert others.max_residual < 0.8e-9
+        assert _reference_verify(checked, sa, sb).substochastic_balance_residual > 1.4e-9
 
 
 @pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])

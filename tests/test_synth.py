@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -514,21 +515,21 @@ def test_one_schmidt_decomposition_per_state(svd_calls):
     assert squared_spectrum(s).tobytes() == (form.coeffs**2).tobytes()
     assert len(calls) == 1
 
+    # A and B only, for stage 2 too: verify takes the flow balance from the
+    # intermediate amplitudes, not from their decomposition.
     a_spec, b_spec = comparable_spectra(5, rng)
     pairs = [
-        # stage 2: A, B and the intermediate state that verify rebuilds
-        ((random_state(4, 6, rng), random_state(4, 6, rng)), 3),
-        # deterministic: A and B only
-        ((state_with_spectrum(a_spec, 5, 5, rng), state_with_spectrum(b_spec, 5, 5, rng)), 2),
+        ((random_state(4, 6, rng), random_state(4, 6, rng)), False),
+        ((state_with_spectrum(a_spec, 5, 5, rng), state_with_spectrum(b_spec, 5, 5, rng)), True),
     ]
-    for (a, b), budget in pairs:
+    for (a, b), deterministic in pairs:
         calls.clear()
         report = feasibility(a, b)
         proto = synthesize(a, b, "max")
         assert verify(proto, a, b).passed
-        assert (proto.stage2 is None) == (budget == 2)
+        assert (proto.stage2 is None) == deterministic
         assert proto.p_total == report.p_max
-        assert len(calls) <= budget
+        assert len(calls) <= 2
 
 
 def test_feasibility_rank_ok_matches_schmidt_rank():
@@ -685,6 +686,26 @@ def test_reduce_bob_real_diagonal_degenerate():
     m = m / max(1.0, np.linalg.norm(m, 2))
     n, u = reduce_bob(m, psi)
     assert opnorm(psi.amp @ m.T - n @ psi.amp @ u.T) <= 1e-12
+
+
+def test_reduce_bob_takes_one_svd_and_no_values_only_one(monkeypatch):
+    # The contraction check takes ||m|| from a Gram matrix's eigenvalues, so
+    # the one SVD left is the transposition unitary of m @ amp.T.
+    calls, original = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return original(*args, **kwargs)
+
+    # np.linalg.norm(m, 2) looks svd up in its own module, not in np.linalg.
+    for mod in [m for name, m in sys.modules.items() if name.startswith("numpy.linalg")]:
+        if vars(mod).get("svd") is original:
+            monkeypatch.setattr(mod, "svd", counted)
+    psi = random_state(4, 4, np.random.default_rng(74))
+    schmidt(psi)
+    calls.clear()
+    reduce_bob(0.5 * np.eye(4), psi)
+    assert calls == [True]
 
 
 def test_reduce_bob_reads_the_cached_form(svd_calls):
