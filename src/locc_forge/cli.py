@@ -148,20 +148,8 @@ def protocol_to_dict(protocol: LoccProtocol) -> dict:
     }
 
 
-def _square(m: np.ndarray, n: int, name: str) -> np.ndarray:
-    if m.shape != (n, n):
-        raise CliInputError(f"malformed protocol file: {name} is {m.shape}, expected {(n, n)}")
-    return m
-
-
-def _weight(value, name: str) -> float:
-    w = float(value)
-    if not 0.0 <= w <= 1.0:
-        raise CliInputError(f"malformed protocol file: {name} must be in [0, 1], got {w!r}")
-    return w
-
-
 def protocol_from_dict(doc: dict) -> LoccProtocol:
+    """The protocol of a file's document; ``LoccProtocol`` checks its shapes and weights."""
     try:
         stage1 = doc["stage1"]
         meta = doc.get("meta", {})
@@ -170,28 +158,19 @@ def protocol_from_dict(doc: dict) -> LoccProtocol:
         m0 = matrix_from_json(stage1["M0"])
         da, db = _dims(meta.get("dims", m0.shape), "malformed protocol file")
         outcomes = tuple(
-            StageOneOutcome(
-                q=_weight(o["q"], "q"),
-                M=_square(matrix_from_json(o["M"]), da, "M"),
-                U=_square(matrix_from_json(o["U"]), db, "U"),
-            )
+            StageOneOutcome(q=float(o["q"]), M=matrix_from_json(o["M"]), U=matrix_from_json(o["U"]))
             for o in stage1["outcomes"]
         )
-        stage2 = None
-        if doc.get("stage2") is not None:
-            s2 = doc["stage2"]
-            stage2 = StageTwo(
-                p=_weight(s2["p"], "p"),
-                N=_square(matrix_from_json(s2["N"]), da, "N"),
-                V=_square(matrix_from_json(s2["V"]), db, "V"),
-                N_fail=_square(matrix_from_json(s2["N_fail"]), da, "N_fail"),
-            )
+        s2 = doc.get("stage2")
+        stage2 = None if s2 is None else StageTwo(
+            float(s2["p"]), *(matrix_from_json(s2[name]) for name in ("N", "V", "N_fail"))
+        )
         return LoccProtocol(
             outcomes=outcomes,
-            M0=_square(m0, da, "M0"),
+            M0=m0,
             stage2=stage2,
             dims=(da, db),
-            p_total=_weight(meta.get("p_total", 1.0 if stage2 is None else stage2.p), "p_total"),
+            p_total=float(meta.get("p_total", 1.0 if stage2 is None else stage2.p)),
             source_digest=meta.get("source_digest"),
             target_digest=meta.get("target_digest"),
         )

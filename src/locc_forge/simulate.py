@@ -1,7 +1,9 @@
 """Protocol verification and seeded Monte Carlo execution.
 
-``verify`` recomputes every defining identity of a synthesized protocol and
-reports the residuals.  It takes every operator norm from the Hermitian
+``verify`` recomputes every defining identity of a protocol and reports
+the residuals; a NaN residual fails it.  ``LoccProtocol`` checks the
+operator shapes and weights when it is built, so nothing here checks them
+again.  ``verify`` takes every operator norm from the Hermitian
 eigenvalues of a Gram matrix (or of a defect that is Hermitian already,
 ``numkit.opnorm``), never from an SVD, and decomposes no intermediate
 state.  The protocol's data picks how stage 1 is checked: the outcomes of
@@ -19,10 +21,10 @@ weights), so simulation independently cross-checks the synthesis formulas.
 
 ``run_once`` with ``trial_rng`` is the scalar reference: one trial, one
 generator.  ``estimate`` returns what a loop of ``run_once`` over trials
-``0..trials-1`` would give, bit for bit, but computes each branch's
-quantities once from the operators (``_branch``, which ``run_once`` reads
-too) and draws the uniforms of many trials at once.  Trial ``i`` uses the
-first Philox4x64-10 block at counter ``(1, 0, i, 0)`` under key
+``0..trials-1`` would give, bit for bit, but computes each branch's weights
+and states once (``_branch``, the one branch routine, which ``run_once``
+reads too) and draws the uniforms of many trials at once.  Trial ``i`` uses
+the first Philox4x64-10 block at counter ``(1, 0, i, 0)`` under key
 ``(seed mod 2**64, seed >> 64)``; its words 0 and 1, mapped as
 ``(x >> 11) * 2**-53``, are the two ``random()`` draws of
 ``trial_rng(seed, i)``.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -77,14 +79,11 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.completeness_residual,
-            max(self.per_outcome_residuals, default=0.0),
-            self.stage2_residual,
-            max(self.unitarity_residuals, default=0.0),
-            max(self.norm_bounds, default=0.0),
-            self.substochastic_balance_residual,
-        )
+        """Largest residual; NaN if any residual is NaN (Python's ``max`` would drop it)."""
+        values = (self.completeness_residual, self.stage2_residual,
+                  self.substochastic_balance_residual, *self.per_outcome_residuals,
+                  *self.unitarity_residuals, *self.norm_bounds)
+        return math.nan if any(map(math.isnan, values)) else max(values)
 
     def as_dict(self) -> dict:
         return {
@@ -216,7 +215,8 @@ def verify(
     The intermediate state of a probabilistic protocol is reconstructed as
     the weighted average of the stage-1 branch outputs, so a corrupted
     operator shows up either in the branch residuals, in completeness, or in
-    the stage-2 map residual.
+    the stage-2 map residual.  ``LoccProtocol`` checks shapes and weights;
+    every maximum here propagates NaN, so a NaN entry fails the protocol.
 
     Every operator norm is the largest |eigenvalue| of a Hermitian matrix:
     ``||X||`` is the square root of the top eigenvalue of the smaller Gram
@@ -237,59 +237,53 @@ def verify(
     them from it as read-only views that cannot be made writeable again.
     The frame's arrays are frozen, but the stacks the views share (their
     ``.base``) are only flag-locked, so a write through a ``.base`` made
-    writeable is the one way round that.  Any other
-    protocol is checked on its dense operators, all K outcomes stacked at
-    once: each branch ``M_k A U_k.T`` is computed once, and a stage-2
-    protocol's intermediate state is their ``sqrt(q)``-weighted sum.  The
-    stacks take about twice the memory of the operators the caller holds.
-    ``M0`` and stage 2 are checked densely either way.
+    writeable is the one way round that.  Any other protocol is checked on
+    its dense operators, all K outcomes stacked at once: each branch
+    ``M_k A U_k.T`` is computed once, and a stage-2 protocol's intermediate
+    state is their ``sqrt(q)``-weighted sum.  The stacks take about twice
+    the memory of the operators the caller holds.  ``M0`` and stage 2 are
+    checked densely either way.
     """
     _check_dims(protocol, a_state, b_state)
-    da = protocol.dims[0]
     s2 = protocol.stage2
-    weights = [out.q for out in protocol.outcomes] + ([] if s2 is None else [s2.p])
-    if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails both comparisons
-        raise InvalidInputError("stage-1 weights q and the stage-2 p must lie in [0, 1]")
     stage_one = _frame_stage_one if hasattr(protocol.outcomes, "frame") else _dense_stage_one
     per_outcome, u_defects, m_norms, m0_norm, completeness, target, target_slack = stage_one(
         protocol, a_state, b_state
     )
 
     unitarity = u_defects.tolist()
-    norms = np.maximum(m_norms - 1.0, 0.0).tolist()
-    norms.append(max(0.0, m0_norm - 1.0))
+    norms = [*m_norms.tolist(), m0_norm]
 
     stage2_residual = balance = 0.0
     if s2 is not None:
         v_defect = unitarity_defect(s2.V)
         n_norm = opnorm(s2.N)
         unitarity.append(v_defect)
-        norms.append(max(0.0, n_norm - 1.0))
+        norms.append(n_norm)
         map_defect = opnorm(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp)
         if target_slack:
             map_defect += n_norm * math.sqrt(1.0 + v_defect) * target_slack
-        completion = s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - np.eye(da)
-        stage2_residual = max(map_defect, float(_hermitian_norms(completion)))
+        completion = s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - np.eye(len(s2.N))
+        stage2_residual = np.maximum(map_defect, _hermitian_norms(completion))
         norm_t = float(np.linalg.norm(target))
         balance = float("inf")
         if norm_t > 0:
             fb = schmidt(b_state)
             flow = (np.abs(fb.left_basis.conj().T @ s2.N @ (target / norm_t)) ** 2).sum(axis=1)
             flow[: fb.coeffs.size] -= s2.p * fb.coeffs**2
-            balance = max(float(np.abs(flow).max()), n_norm**2 - 1.0)
+            balance = np.maximum(np.abs(flow).max(), n_norm**2 - 1.0)
 
     report = VerificationReport(
         completeness_residual=float(completeness),
         per_outcome_residuals=tuple(per_outcome.tolist()),
         stage2_residual=float(stage2_residual),
         unitarity_residuals=tuple(unitarity),
-        norm_bounds=tuple(norms),
+        norm_bounds=tuple(np.maximum(np.array(norms) - 1.0, 0.0).tolist()),
         substochastic_balance_residual=float(balance),
         tol=float(tol),
         passed=False,
     )
-    object.__setattr__(report, "passed", bool(report.max_residual <= tol))
-    return report
+    return replace(report, passed=bool(report.max_residual <= tol))
 
 
 @dataclass(frozen=True)
@@ -387,21 +381,30 @@ def _trial_uniforms(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.nd
 
 
 def _branch(protocol: LoccProtocol, state: BipartiteState, k: int):
-    """Stage-1 outcome ``k`` on ``state``: its weight ``w``, the normalized
-    intermediate amplitude and, with a stage 2, the success and failure
-    amplitudes it leads to (both None without one)."""
+    """Stage-1 outcome ``k`` on ``state`` as ``(w, w_succ, success, w_fail, fail)``.
+
+    ``w`` is the branch weight; ``w_succ`` and ``w_fail`` are the stage-2
+    success and failure weights, and ``success`` and ``fail`` the normalized
+    states (None at ``w_succ`` 0 and at ``w_fail <= _MIN_FAIL_WEIGHT``).
+    Without a stage 2, ``success`` is the intermediate state, at weight 1.
+    """
     out = protocol.outcomes[k]
     branch = out.M @ state.amp @ out.U.T
     w = _norm_sq(branch)
     inter = branch / math.sqrt(w)
     s2 = protocol.stage2
     if s2 is None:
-        return w, inter, None, None
-    return w, inter, s2.N @ inter @ s2.V.T, s2.N_fail @ inter
+        return w, 1.0, BipartiteState(inter), 0.0, None
+    success_amp, fail_amp = s2.N @ inter @ s2.V.T, s2.N_fail @ inter
+    w_succ, w_fail = _norm_sq(success_amp), _norm_sq(fail_amp)
+    success = BipartiteState(success_amp / math.sqrt(w_succ)) if w_succ > 0 else None
+    fail = BipartiteState(fail_amp / math.sqrt(w_fail)) if w_fail > _MIN_FAIL_WEIGHT else None
+    return w, w_succ, success, w_fail, fail
 
 
 def run_once(protocol: LoccProtocol, state: BipartiteState, rng: np.random.Generator) -> RunTrace:
-    """Sample one execution of a verified protocol on ``state``."""
+    """Sample one execution of a verified protocol on ``state``.  Like ``estimate``,
+    it builds both stage-2 states of the selected outcome, so it raises where that does."""
     weights = branch_weights(protocol, state)
     total = float(weights.sum())
     pick = rng.random() * total
@@ -413,39 +416,11 @@ def run_once(protocol: LoccProtocol, state: BipartiteState, rng: np.random.Gener
         return RunTrace(outcome_index=-1, classical_message=-1, bob_correction=None,
                         stage2_success=None, final_state=None, run_weight=float(weights[idx]))
 
-    w, amp, success_amp, fail_amp = _branch(protocol, state, idx)
-    success, weight = None, 1.0
-    if success_amp is not None:
-        w_succ = _norm_sq(success_amp)
-        success = rng.random() < w_succ
-        amp, weight = (success_amp, w_succ) if success else (fail_amp, _norm_sq(fail_amp))
-    final = (BipartiteState(amp / math.sqrt(weight))
-             if success is not False or weight > _MIN_FAIL_WEIGHT else None)
+    w, w_succ, success_state, w_fail, fail_state = _branch(protocol, state, idx)
+    success = None if protocol.stage2 is None else rng.random() < w_succ
+    weight, final = (w_fail, fail_state) if success is False else (w_succ, success_state)
     return RunTrace(outcome_index=idx, classical_message=idx, bob_correction=idx,
                     stage2_success=success, final_state=final, run_weight=w * weight)
-
-
-def _outcome_stats(
-    protocol: LoccProtocol, state: BipartiteState, target: BipartiteState, k: int
-) -> tuple[float, float]:
-    """Stage-2 success weight and success fidelity of stage-1 outcome ``k``.
-
-    Reads ``_branch`` as ``run_once`` does and builds the states it builds on
-    this branch, so the same validation runs.  A deterministic branch always
-    succeeds (weight 1); a success state is built only if its weight is
-    positive, since otherwise no trial can succeed.
-    """
-    _, inter, success_amp, fail_amp = _branch(protocol, state, k)
-    if success_amp is None:
-        return 1.0, fidelity(BipartiteState(inter), target)
-    w_succ = _norm_sq(success_amp)
-    fid = math.nan
-    if w_succ > 0:
-        fid = fidelity(BipartiteState(success_amp / math.sqrt(w_succ)), target)
-    w_fail = _norm_sq(fail_amp)
-    if w_fail > _MIN_FAIL_WEIGHT:
-        BipartiteState(fail_amp / math.sqrt(w_fail))
-    return w_succ, fid
 
 
 #: Trials per batch in ``estimate``; bounds its memory, never changes its result.
@@ -475,8 +450,8 @@ def estimate(
     trial_rng(seed, i))`` over ``i < trials`` that counts the successes and
     adds their fidelities to ``b_state`` in trial order.  The branch weights
     are computed once from the operators, and each outcome some trial
-    selects gets its post-measurement state, stage-2 split and success
-    fidelity computed once, from ``_branch`` as ``run_once`` reads it.  Trials run in
+    selects gets its stage-2 success weight and success fidelity computed
+    once, from ``_branch`` as ``run_once`` reads it.  Trials run in
     chunks of ``_CHUNK``, each drawing all its uniforms at once (see the
     module docstring for the counter layout).
     """
@@ -506,11 +481,12 @@ def estimate(
         hit = np.zeros(len(weights), dtype=bool)
         hit[idx] = True
         for k in np.flatnonzero(hit & ~seen).tolist():
-            w_succ[k], fid[k] = _outcome_stats(protocol, a_state, b_state, k)
+            _, w_succ[k], success, _, _ = _branch(protocol, a_state, k)
+            fid[k] = math.nan if success is None else fidelity(success, b_state)
             seen[k] = True
-        succeeded = idx < completion
-        if protocol.stage2 is not None:
-            succeeded &= u2 < w_succ[idx]
+        # u2 < 1 always, so a branch without stage 2 (w_succ 1) always
+        # succeeds, and the completion branch (w_succ 0) never does.
+        succeeded = u2 < w_succ[idx]
         successes += int(np.count_nonzero(succeeded))
         for f in fid[idx[succeeded]].tolist():
             fid_sum += f

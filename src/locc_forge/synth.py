@@ -124,7 +124,7 @@ def feasibility(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Fe
         p_requested=p if isinstance(p, str) else float(p),
         p_max=p_max,
         deterministic_ok=bool(p_max == 1.0),
-        rank_ok=_spectral_rank(a) >= _spectral_rank(b),
+        rank_ok=bool(p_max > 0.0),
         super_maj_ok_at_p=bool(p_num <= p_max + FEAS_ATOL),
         pure_necessary_ok_at_p=majorize.compare(p_num * b, a, "sub"),
         schmidt_sq_a=a,
@@ -191,7 +191,8 @@ def uhlmann_decompose(c, d) -> list[tuple[float, np.ndarray]]:
 
 
 def _mixing_terms(a: np.ndarray, q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Permutation terms routing spectrum ``q`` onto spectrum ``a`` (``a < q``).
+    """Permutation terms routing spectrum ``q`` onto spectrum ``a`` (``a < q``),
+    both non-increasing and of one length, as both callers pass them.
 
     Works on the block of the spectral rank of ``a``, so there are at most
     that many terms.  Returns the weights, the permutations as rows, each
@@ -199,13 +200,10 @@ def _mixing_terms(a: np.ndarray, q: np.ndarray, n: int) -> tuple[np.ndarray, np.
     identity to length ``n``, and the mixture ``sum w P q`` the terms extract
     on the block (``a`` up to roundoff), zero beyond it.
     """
-    a_s = np.sort(a)[::-1]
-    q_s = np.sort(q)[::-1]
-    a_s, q_s = majorize._pad_pair(a_s, q_s)
-    block = max(1, _spectral_rank(a_s))
-    weights, perms = majorize._permutation_terms(a_s[:block], q_s[:block])
-    mixture = np.zeros(a_s.size)
-    mixture[:block] = weights @ q_s[perms]
+    block = max(1, _spectral_rank(a))
+    weights, perms = majorize._permutation_terms(a[:block], q[:block])
+    mixture = np.zeros(a.size)
+    mixture[:block] = weights @ q[perms]
     tail = np.broadcast_to(np.arange(block, n), (len(weights), n - block))
     return weights, np.hstack((perms, tail)), mixture
 
@@ -257,12 +255,18 @@ class _FrameOutcomes(tuple):
 
 @dataclass(frozen=True)
 class LoccProtocol:
-    """Explicit operators of a synthesized one-way protocol.
+    """Explicit operators of a one-way protocol, well formed by construction.
+
+    Building one (``synthesize``, a protocol file, by hand or with
+    ``dataclasses.replace``) raises :class:`InvalidInputError` unless ``dims``
+    holds two sizes ``(dA, dB)``, every ``M``, ``M0``, ``N`` and ``N_fail`` is
+    a ``(dA, dA)`` array, every ``U`` and ``V`` a ``(dB, dB)`` one, and every
+    ``q``, the stage-2 ``p`` and ``p_total`` lie in ``[0, 1]`` (NaN fails).
+    Entries are not scanned: a NaN one makes ``verify`` fail.
 
     The ``outcomes`` of a synthesized protocol also carry its stage-1 Schmidt
     frame (``outcomes.frame``), in which ``verify`` checks stage 1; any other
-    ``outcomes`` (from a protocol file, built by hand or put in with
-    ``dataclasses.replace``) carry none and are checked densely.
+    ``outcomes`` carry none and are checked densely.
     """
 
     outcomes: tuple[StageOneOutcome, ...]
@@ -272,6 +276,27 @@ class LoccProtocol:
     p_total: float
     source_digest: str | None = None
     target_digest: str | None = None
+
+    def __post_init__(self):
+        try:
+            da, db = self.dims
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"dims must hold two sizes, got {self.dims!r}") from None
+        s2 = self.stage2
+        alice = [out.M for out in self.outcomes] + [self.M0]
+        bob = [out.U for out in self.outcomes]
+        weights = [out.q for out in self.outcomes] + [self.p_total]
+        if s2 is not None:
+            alice += [s2.N, s2.N_fail]
+            bob.append(s2.V)
+            weights.append(s2.p)
+        if not ({getattr(m, "shape", None) for m in alice} <= {(da, da)}
+                and {getattr(u, "shape", None) for u in bob} <= {(db, db)}):
+            raise InvalidInputError(
+                f"M, M0, N and N_fail must be {(da, da)} arrays and U and V {(db, db)} arrays"
+            )
+        if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails both comparisons
+            raise InvalidInputError("every q, the stage-2 p and p_total must lie in [0, 1]")
 
 
 def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_FrameOutcomes, np.ndarray]:

@@ -1,4 +1,6 @@
-"""Shared random generators for the test suite (all explicitly seeded)."""
+"""Shared random generators (all explicitly seeded) and protocol edits for the test suite."""
+
+import dataclasses
 
 import numpy as np
 
@@ -64,6 +66,17 @@ def random_contraction(d, rng, norm=None):
     g = random_complex(d, d, rng)
     target = norm if norm is not None else rng.uniform(0.3, 1.0)
     return g * (target / np.linalg.norm(g, 2))
+
+
+def with_outcome0(protocol, **changes):
+    """``protocol`` with ``changes`` made to its first stage-1 outcome."""
+    first = dataclasses.replace(protocol.outcomes[0], **changes)
+    return dataclasses.replace(protocol, outcomes=(first,) + tuple(protocol.outcomes[1:]))
+
+
+def with_stage2(protocol, **changes):
+    """``protocol`` with ``changes`` made to its stage 2."""
+    return dataclasses.replace(protocol, stage2=dataclasses.replace(protocol.stage2, **changes))
 
 
 def reproducer_pairs(count=400):

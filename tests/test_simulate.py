@@ -18,7 +18,14 @@ from locc_forge.simulate import (
 )
 from locc_forge.synth import StageOneOutcome, _flow_balance, max_probability, synthesize
 
-from helpers import comparable_spectra, random_state, reproducer_pairs, state_with_spectrum
+from helpers import (
+    comparable_spectra,
+    random_state,
+    reproducer_pairs,
+    state_with_spectrum,
+    with_outcome0,
+    with_stage2,
+)
 
 BELL = from_schmidt([0.5, 0.5], 2, 2)
 SKEW = from_schmidt([0.8, 0.2], 2, 2)
@@ -366,6 +373,39 @@ def test_verify_rejects_bad_weights(bad):
     stage2 = dataclasses.replace(proto.stage2, p=bad)
     with pytest.raises(InvalidInputError):
         verify(dataclasses.replace(proto, stage2=stage2), SKEW, BELL)
+
+
+def _with_nan(protocol, name):
+    """``protocol`` with a NaN in the first entry of its operator ``name``
+    (outcome 0's for ``M`` and ``U``, the stage-2 one for ``N``, ``V``, ``N_fail``)."""
+    def nan(m):
+        m = np.array(m)
+        m[0, 0] = math.nan
+        return m
+
+    if name in ("M", "U"):
+        return with_outcome0(protocol, **{name: nan(getattr(protocol.outcomes[0], name))})
+    if name == "M0":
+        return dataclasses.replace(protocol, M0=nan(protocol.M0))
+    return with_stage2(protocol, **{name: nan(getattr(protocol.stage2, name))})
+
+
+@pytest.mark.parametrize(
+    "path, name",
+    [("dense", "M"), ("dense", "U"), ("dense", "M0"),
+     ("frame", "M0"), ("frame", "N"), ("frame", "V"), ("frame", "N_fail")],
+)
+def test_verify_fails_a_nan_operator(path, name):
+    # Every maximum verify takes propagates NaN, so a NaN entry anywhere
+    # fails the protocol with a NaN max_residual.
+    proto = synthesize(SKEW, BELL, 0.4)
+    if path == "dense":
+        proto = _dense(proto)
+    bad = _with_nan(proto, name)
+    assert (_frame(bad) is not None) == (path == "frame")
+    report = verify(bad, SKEW, BELL)
+    assert report.passed is False
+    assert math.isnan(report.max_residual)
 
 
 def test_verify_empty_protocol():

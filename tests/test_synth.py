@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -35,6 +37,8 @@ from helpers import (
     random_unitary,
     reproducer_pairs,
     state_with_spectrum,
+    with_outcome0,
+    with_stage2,
 )
 
 BELL = from_schmidt([0.5, 0.5], 2, 2)
@@ -578,6 +582,42 @@ def test_deterministic_ok_iff_one_stage():
         report = feasibility(a, b)
         assert report.deterministic_ok == (report.p_max == 1.0)
         assert report.deterministic_ok == (synthesize(a, b, "max").stage2 is None)
+
+
+def _rectangular_protocol():
+    rng = np.random.default_rng(71)
+    a, b = comparable_spectra(3, rng)
+    sa, sb = state_with_spectrum(a, 3, 5, rng), state_with_spectrum(b, 3, 5, rng)
+    proto = synthesize(sa, sb, 0.5 * max_probability(sa, sb))
+    assert proto.dims == (3, 5) and proto.stage2 is not None
+    return proto
+
+
+# Each breaks one rule of a (3, 5) protocol: an operator of the other
+# party's size, a weight outside [0, 1] or NaN, or dims of three sizes.
+_MALFORMED = {
+    "M": lambda p: with_outcome0(p, M=np.eye(5)),
+    "U": lambda p: with_outcome0(p, U=np.eye(3)),
+    "M0": lambda p: dataclasses.replace(p, M0=np.eye(5)),
+    "N": lambda p: with_stage2(p, N=np.eye(5)),
+    "V": lambda p: with_stage2(p, V=np.eye(3)),
+    "N_fail": lambda p: with_stage2(p, N_fail=np.eye(5)),
+    "dims": lambda p: dataclasses.replace(p, dims=(3, 5, 1)),
+    **{f"q={w}": lambda p, w=w: with_outcome0(p, q=w) for w in (-0.1, 1.5, math.nan)},
+    **{f"p={w}": lambda p, w=w: with_stage2(p, p=w) for w in (-0.1, 1.5, math.nan)},
+    **{f"p_total={w}": lambda p, w=w: dataclasses.replace(p, p_total=w)
+       for w in (-0.1, 1.5, math.nan)},
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_protocol_rejects_malformed_operators_and_weights(case):
+    # LoccProtocol checks its shapes and weights when it is built, so a
+    # mis-shaped operator raises InvalidInputError here instead of a bare
+    # numpy ValueError inside verify or estimate.
+    proto = _rectangular_protocol()
+    with pytest.raises(InvalidInputError):
+        _MALFORMED[case](proto)
 
 
 def test_synthesize_operators_in_schmidt_frame():
