@@ -186,8 +186,15 @@ def load_protocol(path: str) -> LoccProtocol:
 # commands
 # ---------------------------------------------------------------------------
 
+def _finite_or_null(payload: dict) -> dict:
+    """``payload`` with each non-finite float, at the top or in a list, as None (JSON null)."""
+    def fix(v):
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return {k: [*map(fix, v)] if isinstance(v, list) else fix(v) for k, v in payload.items()}
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload)
+    text = json.dumps(payload, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -249,7 +256,7 @@ def cmd_verify(args) -> int:
         if digest and digest != state.digest:
             print(f"note: {name} state digest differs from the protocol meta", file=sys.stderr)
     report = verify(protocol, a, b, tol=tol)
-    _emit(report.as_dict(), args.output)
+    _emit(_finite_or_null(report.as_dict()), args.output)
     print(
         f"max residual {report.max_residual:.3e} vs tol {tol:.3e}: "
         f"{'PASS' if report.passed else 'FAIL'}",
@@ -270,7 +277,7 @@ def cmd_simulate(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    _emit(payload, args.output)
+    _emit(_finite_or_null(payload), args.output)
     print(
         f"p_hat = {result.p_hat:.4f} +/- {result.stderr:.4f} "
         f"({args.trials} trials, seed {args.seed}), "

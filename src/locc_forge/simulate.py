@@ -23,11 +23,11 @@ weights), so simulation independently cross-checks the synthesis formulas.
 generator.  ``estimate`` returns what a loop of ``run_once`` over trials
 ``0..trials-1`` would give, bit for bit, but computes each branch's weights
 and states once (``_branch``, the one branch routine, which ``run_once``
-reads too) and draws the uniforms of many trials at once.  Trial ``i`` uses
-the first Philox4x64-10 block at counter ``(1, 0, i, 0)`` under key
-``(seed mod 2**64, seed >> 64)``; its words 0 and 1, mapped as
-``(x >> 11) * 2**-53``, are the two ``random()`` draws of
-``trial_rng(seed, i)``.
+reads too) and draws the uniforms of many trials at once.  The trial
+streams are consecutive counter blocks of numpy's Philox under key
+``seed``: ``trial_rng(seed, i)`` starts at block ``i + 1``, four draws per
+block, so a trial may draw at most four uniforms, and ``estimate`` draws a
+chunk of trials as one stream in one call.
 """
 
 from __future__ import annotations
@@ -316,68 +316,29 @@ def _norm_sq(amp: np.ndarray) -> float:
     return float(np.vdot(amp, amp).real)
 
 
-def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 1 << 128:
-        raise InvalidInputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    return int(seed)
+def _check_uint(value, name: str, bits: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 1 << bits:
+        raise InvalidInputError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
+    return int(value)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent, reproducible generator for one trial.
+    """Generator of trial ``trial`` in ``[0, 2**64)``: a function of ``(seed, trial)`` alone.
 
-    Streams are split with a counter-based generator jumped by the trial
-    index, so the result depends only on ``(seed, trial)`` and never on
-    execution order.
+    numpy's Philox under key ``seed``, advanced ``trial`` counter blocks: its
+    first four draws are the words of block ``trial + 1`` and its fifth is the
+    next trial's first, so a trial may draw at most four uniforms (``run_once``
+    draws two).
     """
-    return np.random.Generator(np.random.Philox(key=_check_seed(seed)).jumped(trial))
-
-
-# Philox4x64-10 multipliers and key increments (Salmon et al., SC'11), as
-# numpy's Philox uses them.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_U64_MASK = (1 << 64) - 1
-_LO32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-_SHIFT11 = np.uint64(11)
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products ``m * x``.
-
-    numpy has no 64x64->128 multiply, so the high word is assembled from
-    the four 32-bit partial products; the low word is the wrapped product.
-    """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _SHIFT32
-    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
-    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LO32) + (lo_hi & _LO32)) >> _SHIFT32
-    hi = x_hi * m_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry
-    return hi, x * np.uint64(m)
+    philox = np.random.Philox(key=_check_uint(seed, "seed", 128))
+    return np.random.Generator(philox.advance(_check_uint(trial, "trial", 64)))
 
 
 def _trial_uniforms(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and second ``random()`` draws of ``trial_rng(seed, i)``, i in [start, stop).
-
-    ``Philox(key=seed).jumped(i)`` starts at counter ``(0, 0, i, 0)`` and its
-    first draw increments the counter before enciphering, so trial ``i``'s
-    draws are words 0 and 1 of the block at counter ``(1, 0, i, 0)``.
-    """
-    n = stop - start
-    c0 = np.ones(n, dtype=np.uint64)
-    c1 = np.zeros(n, dtype=np.uint64)
-    c2 = np.arange(start, stop, dtype=np.uint64)
-    c3 = np.zeros(n, dtype=np.uint64)
-    k0, k1 = seed & _U64_MASK, seed >> 64
-    for r in range(_PHILOX_ROUNDS):
-        key0 = np.uint64((k0 + r * _PHILOX_W[0]) & _U64_MASK)
-        key1 = np.uint64((k1 + r * _PHILOX_W[1]) & _U64_MASK)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
-    scale = 1.0 / 9007199254740992.0
-    return (c0 >> _SHIFT11) * scale, (c1 >> _SHIFT11) * scale
+    """First and second ``random()`` draws of ``trial_rng(seed, i)``, i in [start, stop),
+    read as one stream of four draws per trial (see ``trial_rng``)."""
+    words = trial_rng(seed, start).random((stop - start, 4))
+    return words[:, 0], words[:, 1]
 
 
 def _branch(protocol: LoccProtocol, state: BipartiteState, k: int):
@@ -455,12 +416,9 @@ def estimate(
     chunks of ``_CHUNK``, each drawing all its uniforms at once (see the
     module docstring for the counter layout).
     """
-    seed = _check_seed(seed)
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
-        raise InvalidInputError(f"trials must be an integer, got {trials!r}")
+    seed, trials = _check_uint(seed, "seed", 128), _check_uint(trials, "trials", 64)
     if trials < 1:
         raise InvalidInputError("trials must be at least 1")
-    trials = int(trials)
     _check_dims(protocol, b_state)
 
     weights = branch_weights(protocol, a_state)

@@ -169,6 +169,40 @@ def test_simulate_command(state_files, tmp_path):
     assert json.loads(again.stdout) == doc
 
 
+def _strict_json(text):
+    """Parse ``text``, refusing the NaN and Infinity that JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_simulate_and_verify_write_non_finite_values_as_null(state_files, tmp_path):
+    bell_path, skew_path = state_files
+    proto_path = tmp_path / "p0.json"
+    run_cli("synthesize", skew_path, bell_path, "--p", "0", "-o", str(proto_path))
+    proc = run_cli("simulate", str(proto_path), skew_path, bell_path, "--trials", "100")
+    assert proc.returncode == 0
+    doc = _strict_json(proc.stdout)
+    assert doc["p_hat"] == 0.0
+    assert doc["mean_success_fidelity"] is None
+
+    # Every M zero and M0 = I: the intermediate state is 0, so the flow
+    # balance (and the largest residual) is inf and the protocol fails.
+    doc = json.loads(proto_path.read_text())
+    zero, ident = matrix_to_json(np.zeros((2, 2))), matrix_to_json(np.eye(2))
+    for out in doc["stage1"]["outcomes"]:
+        out["M"] = zero
+    doc["stage1"]["M0"] = ident
+    zeroed = tmp_path / "zeroed.json"
+    zeroed.write_text(json.dumps(doc))
+    proc = run_cli("verify", str(zeroed), skew_path, bell_path)
+    assert proc.returncode == 1
+    report = _strict_json(proc.stdout)
+    assert report["substochastic_balance_residual"] is None
+    assert report["max_residual"] is None
+    assert report["passed"] is False
+
+
 def test_simulate_negative_seed_exits_2(state_files, tmp_path):
     bell_path, skew_path = state_files
     proto_path = tmp_path / "proto.json"

@@ -639,9 +639,12 @@ def test_estimate_rejects_bad_seed_and_trials():
             estimate(proto, BELL, SKEW, trials=10, seed=seed)
         with pytest.raises(InvalidInputError):
             trial_rng(seed, 0)
-    for trials in (True, 2.5, "10", None):
+    for trials in (True, 2.5, "10", None, 2**64):
         with pytest.raises(InvalidInputError):
             estimate(proto, BELL, SKEW, trials=trials)
+    for trial in (-1, 2**64, True, False, 1.0, "3", None):
+        with pytest.raises(InvalidInputError):
+            trial_rng(3, trial)
 
 
 def test_estimate_accepts_numpy_integers():
@@ -669,6 +672,17 @@ def test_trial_uniforms_match_trial_rng(seed):
             second[j] = rng.random()
         assert np.array_equal(u1, first)
         assert np.array_equal(u2, second)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**128 - 1])
+def test_trial_rng_starts_at_block_after_trial(seed):
+    # Trial i's first four draws are the words of Philox block i + 1, which
+    # a Philox at counter i enciphers first.
+    for i in (0, 5, 2**64 - 2):
+        words = np.random.Philox(key=seed, counter=i).random_raw(4)
+        expected = (words >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(trial_rng(seed, i).random(4), expected)
+        assert np.array_equal(trial_rng(seed, np.uint64(i)).random(4), expected)
 
 
 def _reference_estimate(protocol, a_state, b_state, trials, seed):
