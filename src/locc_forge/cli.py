@@ -129,12 +129,11 @@ def protocol_to_dict(protocol: LoccProtocol) -> dict:
             "V": matrix_to_json(s2.V),
             "N_fail": matrix_to_json(s2.N_fail),
         }
+    s1 = protocol.outcomes
     return {
         "stage1": {
-            "outcomes": [
-                {"q": out.q, "M": matrix_to_json(out.M), "U": matrix_to_json(out.U)}
-                for out in protocol.outcomes
-            ],
+            "outcomes": [{"q": q, "M": m, "U": u} for q, m, u in zip(
+                s1.q.tolist(), matrix_to_json(s1.M), matrix_to_json(s1.U))],
             "M0": matrix_to_json(protocol.M0),
         },
         "stage2": stage2,
@@ -196,8 +195,11 @@ def _finite_or_null(payload: dict) -> dict:
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, allow_nan=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliInputError(f"cannot write {out_path}: {exc}") from exc
     else:
         print(text)
 

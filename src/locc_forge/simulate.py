@@ -6,13 +6,11 @@ operator shapes and weights when it is built, so nothing here checks them
 again.  ``verify`` takes every operator norm from the Hermitian
 eigenvalues of a Gram matrix (or of a defect that is Hermitian already,
 ``numkit.opnorm``), never from an SVD, and decomposes no intermediate
-state.  The protocol's data picks how stage 1 is checked: the outcomes of
-a protocol from ``synthesize`` carry their Schmidt frame, and stage 1 is
-checked there in O(d^3 + K d), each residual reported as an upper bound
-on the dense one (the frame term plus the basis and reconstruction
-defects, see ``_frame_stage_one``); any other protocol is checked on its
-dense operators, all K outcomes stacked at once.  ``M0`` and stage 2 are
-checked densely either way.
+state.  Stage 1 is one value, ``protocol.outcomes``: with a Schmidt frame (a
+protocol from ``synthesize``) it is checked there in O(d^3 + K d), each
+residual an upper bound on the dense one (see ``_frame_stage_one``);
+without one, on its dense stacks, all K outcomes at once.  ``M0`` and
+stage 2 are checked densely either way.
 
 ``run_once``/``estimate`` execute the protocol as a sampled measurement with
 classical communication.  Outcome probabilities are always recomputed from
@@ -117,12 +115,9 @@ class _StageOneChecks(NamedTuple):
 
 
 def _dense_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: BipartiteState):
-    """Stage 1 checked on the dense operators, all outcomes stacked at once."""
-    da, db = protocol.dims
-    k = len(protocol.outcomes)
-    m = np.array([out.M for out in protocol.outcomes]).reshape(k, da, da)
-    u = np.array([out.U for out in protocol.outcomes]).reshape(k, db, db)
-    root_q = np.sqrt([out.q for out in protocol.outcomes]).reshape(k, 1, 1)
+    """Stage 1 checked on the dense stacks, all outcomes at once."""
+    s1, da = protocol.outcomes, protocol.dims[0]
+    m, u, root_q = s1.M, s1.U, np.sqrt(s1.q)[:, None, None]
     branches = m @ a_state.amp @ np.swapaxes(u, 1, 2)
     target = b_state.amp if protocol.stage2 is None else (root_q * branches).sum(axis=0)
     gram = np.conj(np.swapaxes(m, 1, 2)) @ m
@@ -174,7 +169,7 @@ def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: B
     ).tolist()
 
     # Up to those terms, branch k is X_Q diag(c) Y_Q with c[perms[k, i]] = coeffs[k, i].
-    root_q = np.sqrt([out.q for out in protocol.outcomes])
+    root_q = np.sqrt(protocol.outcomes.q)
     coeffs = scale * a.coeffs
     e_norms = scale.max(axis=1)  # ||E_k||
     gain = math.sqrt((1.0 + e_xq) * (1.0 + e_yq))  # bounds ||X_Q|| ||Y_Q||
@@ -226,27 +221,22 @@ def verify(
     ``||N||^2 - 1`` bounds the row and column sums of ``S`` (``inf`` if
     ``T = 0``), so it is at least the balance of the decomposed ``T``.
 
-    The protocol's data picks how stage 1 is checked.  The outcomes of a
-    synthesized protocol carry their Schmidt frame (``outcomes.frame``), and
-    stage 1 is checked there (see ``_frame_stage_one``): each stage-1
-    residual is reported as an upper bound on the dense one, the
-    intermediate state comes from the frame and the stage-2 map residual
-    adds the bound on its error.  This path checks the frame, not the
-    ``M``/``U`` arrays that ``run_once`` and ``estimate`` apply: it trusts
-    that they are the frame's, which holds because ``synthesize`` builds
-    them from it as read-only views that cannot be made writeable again.
-    The frame's arrays are frozen, but the stacks the views share (their
-    ``.base``) are only flag-locked, so a write through a ``.base`` made
-    writeable is the one way round that.  Any other protocol is checked on
-    its dense operators, all K outcomes stacked at once: each branch
-    ``M_k A U_k.T`` is computed once, and a stage-2 protocol's intermediate
-    state is their ``sqrt(q)``-weighted sum.  The stacks take about twice
-    the memory of the operators the caller holds.  ``M0`` and stage 2 are
-    checked densely either way.
+    Stage 1 is the protocol's one value ``outcomes``.  With a ``frame`` (a
+    synthesized protocol) it is checked there (``_frame_stage_one``): each
+    stage-1 residual is an upper bound on the dense one, the intermediate
+    state comes from the frame and the stage-2 map residual adds the bound
+    on its error.  That path trusts that the stacks ``M``/``U`` which
+    ``run_once`` and ``estimate`` apply are the frame's: ``synthesize``
+    builds them from it as read-only views whose flag cannot be set back,
+    and only a write through their flag-locked ``.base`` gets round that.
+    Without a frame, stage 1 is checked on the stacks, with no copy: each
+    branch ``M_k A U_k.T`` once, and a stage-2 protocol's intermediate state
+    as their ``sqrt(q)``-weighted sum.  ``M0`` and stage 2 are checked
+    densely either way.
     """
     _check_dims(protocol, a_state, b_state)
     s2 = protocol.stage2
-    stage_one = _frame_stage_one if hasattr(protocol.outcomes, "frame") else _dense_stage_one
+    stage_one = _dense_stage_one if protocol.outcomes.frame is None else _frame_stage_one
     per_outcome, u_defects, m_norms, m0_norm, completeness, target, target_slack = stage_one(
         protocol, a_state, b_state
     )

@@ -20,12 +20,10 @@ one outcome per permutation), with no bistochastic matrix or Birkhoff
 step.  Both stages and ``verify`` read the Schmidt form cached on each state,
 and every rank cutoff, ``p_max``'s zero test included, is ``bipartite``'s one.
 
-The ``outcomes`` of a synthesized protocol carry the Schmidt frame of A
-and Q they were built from (the two Schmidt forms, one permutation and one
-row of ``M`` scales per outcome, O(d^2) numbers), and ``verify`` checks stage 1
-in that frame rather than on the dense ``M``/``U``, which are read-only.
-A protocol given any other ``outcomes`` has no frame and is checked
-densely.
+Stage 1 of every protocol is one value, its ``outcomes``: read-only stacks
+of the K weights ``q`` and operators ``M``, ``U`` and, if synthesized, the
+Schmidt frame they were built from (O(d^2) numbers, ``_StageOneFrame``), in
+which ``verify`` checks stage 1; any other protocol is checked densely.
 """
 
 from __future__ import annotations
@@ -246,11 +244,21 @@ class _StageOneFrame(NamedTuple):
     scale: np.ndarray
 
 
-class _FrameOutcomes(tuple):
-    """Stage-1 outcomes of a synthesized protocol, carrying the Schmidt ``frame``
-    they were built from.  Slices and copies are plain tuples, with no frame."""
+class _StageOne(tuple):
+    """Stage 1: K ``StageOneOutcome`` views of the rows of the read-only stacks ``q``
+    (K,), ``M`` (K, dA, dA) and ``U`` (K, dB, dB), and the Schmidt ``frame`` (None
+    unless synthesized).  No view's flag can be set back, but the arrays behind
+    them (``.base``) are only flag-locked.  Slices are plain tuples, with no frame."""
 
-    frame: _StageOneFrame
+    def __new__(cls, q: np.ndarray, m: np.ndarray, u: np.ndarray, frame=None):
+        q, m, u = (np.require(a, requirements="O") for a in (q, m, u))  # copies a view
+        q.flags.writeable = m.flags.writeable = u.flags.writeable = False
+        self = super().__new__(cls, map(StageOneOutcome, q.tolist(), m, u))
+        self.q, self.M, self.U, self.frame = q[:], m[:], u[:], frame
+        return self
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild (copy) the stacks and keep the frame
+        return type(self), (self.q, self.M, self.U, self.frame)
 
 
 @dataclass(frozen=True)
@@ -264,9 +272,10 @@ class LoccProtocol:
     ``q``, the stage-2 ``p`` and ``p_total`` lie in ``[0, 1]`` (NaN fails).
     Entries are not scanned: a NaN one makes ``verify`` fail.
 
-    The ``outcomes`` of a synthesized protocol also carry its stage-1 Schmidt
-    frame (``outcomes.frame``), in which ``verify`` checks stage 1; any other
-    ``outcomes`` carry none and are checked densely.
+    ``outcomes`` given as a sequence of ``StageOneOutcome`` are then stacked
+    once into stage 1's one value (``.q``, ``.M``, ``.U``, copies, ``.frame``
+    None); only ``synthesize`` gives a frame, in which ``verify`` checks stage
+    1, and ``dataclasses.replace(p, outcomes=tuple(p.outcomes))`` drops it.
     """
 
     outcomes: tuple[StageOneOutcome, ...]
@@ -297,20 +306,22 @@ class LoccProtocol:
             )
         if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails both comparisons
             raise InvalidInputError("every q, the stage-2 p and p_total must lie in [0, 1]")
+        if not isinstance(self.outcomes, _StageOne):  # stacked once; zero outcomes to (0, d, d)
+            k = len(self.outcomes)
+            stacks = (np.array(weights[:k], dtype=float), np.array(alice[:k] or np.zeros((0, da, da))),
+                      np.array(bob[:k] or np.zeros((0, db, db))))
+            object.__setattr__(self, "outcomes", _StageOne(*stacks))
 
 
-def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_FrameOutcomes, np.ndarray]:
-    """Stage-1 outcomes, carrying their frame, and ``M0`` from the Schmidt forms of A and Q.
+def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_StageOne, np.ndarray]:
+    """Stage 1, its stacks with their (frozen) frame, and ``M0`` from the Schmidt forms of A and Q.
 
     In the Schmidt bases ``M = sqrt(w) Sigma_Q P S^(-1/2)`` and ``U*`` is a
-    permutation, so both are column gathers, made for all K outcomes at once:
-    every ``M``/``U`` is a view of one ``K x d x d`` stack.  ``s = sum_k w_k P_k q``
-    is the mixture the terms actually extract (``a`` up to roundoff), so
-    ``sum M'M`` is exactly the projector onto the coordinates with ``s > 0``;
-    ``M0`` projects onto every other left Schmidt vector of A, those beyond
-    the rank cutoff included.  The frame's arrays are frozen; both stacks are
-    read-only, and so is every view of them, but the stacks themselves (each
-    ``M``/``U``'s ``.base``) are only flag-locked, not copied into frozen memory.
+    permutation, so both are column gathers, made for all K outcomes at once
+    as the ``K x d x d`` stacks themselves.  ``s = sum_k w_k P_k q`` is the
+    mixture the terms actually extract (``a`` up to roundoff), so ``sum M'M``
+    is exactly the projector onto the coordinates with ``s > 0``; ``M0``
+    projects onto every other left Schmidt vector of A, those beyond the rank cutoff included.
     """
     r = fa.coeffs.size
     weights, perms, s = _mixing_terms(fa.coeffs**2, fq.coeffs**2, fa.right_basis.shape[0])
@@ -322,13 +333,10 @@ def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_FrameOutcomes, np.nda
     m *= scale[:, :, None]
     m = m.swapaxes(1, 2) @ fa.left_basis[:, :r].conj().T
     u = (fq.right_basis[perms].conj().swapaxes(1, 2) @ fa.right_basis).conj()
-    m.flags.writeable = u.flags.writeable = False
-    outcomes = _FrameOutcomes(map(StageOneOutcome, weights.tolist(), m, u))
-    outcomes.frame = frame
     null = np.ones(fa.left_basis.shape[0], dtype=bool)
     null[:r] = ~keep
     x_null = fa.left_basis[:, null]
-    return outcomes, x_null @ x_null.conj().T
+    return _StageOne(weights, m, u, frame), x_null @ x_null.conj().T
 
 
 def _stage_two(

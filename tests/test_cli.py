@@ -214,6 +214,17 @@ def test_simulate_negative_seed_exits_2(state_files, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_path_exits_2(state_files, tmp_path, where):
+    bell_path, skew_path = state_files
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    proc = run_cli("synthesize", skew_path, bell_path, "-o", str(out))
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "invalid-input"
+    assert proc.stderr.startswith("error: cannot write")
+    assert "Traceback" not in proc.stderr
+
+
 def test_states_of_other_dimensions_exit_2(state_files, tmp_path):
     bell_path, skew_path = state_files
     proto_path, three = tmp_path / "proto.json", tmp_path / "three.json"

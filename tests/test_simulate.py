@@ -1,11 +1,15 @@
+import copy
 import dataclasses
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from locc_forge import simulate
 from locc_forge.bipartite import fidelity, from_schmidt, schmidt
+from locc_forge.cli import protocol_from_dict, protocol_to_dict
 from locc_forge.errors import InvalidInputError
 from locc_forge.simulate import (
     EstimateResult,
@@ -16,7 +20,7 @@ from locc_forge.simulate import (
     trial_rng,
     verify,
 )
-from locc_forge.synth import StageOneOutcome, _flow_balance, max_probability, synthesize
+from locc_forge.synth import LoccProtocol, StageOneOutcome, _flow_balance, max_probability, synthesize
 
 from helpers import (
     comparable_spectra,
@@ -172,7 +176,7 @@ def _reference_verify(protocol, a_state, b_state, tol=1e-9):
 
 
 def _frame(protocol):
-    return getattr(protocol.outcomes, "frame", None)
+    return protocol.outcomes.frame
 
 
 def _dense(protocol):
@@ -473,12 +477,11 @@ def test_frame_outcomes_are_read_only():
     proto = synthesize(BELL, SKEW, 1.0)
     outcomes = proto.outcomes
     assert len(outcomes) == 2
-    for out in outcomes:
-        for op in (out.M, out.U):
-            with pytest.raises(ValueError):
-                op[0, 0] = 1.0
-            with pytest.raises(ValueError):
-                op.flags.writeable = True
+    for op in [a for out in outcomes for a in (out.M, out.U)] + [outcomes.q, outcomes.M, outcomes.U]:
+        with pytest.raises(ValueError):
+            op[0] = 1.0
+        with pytest.raises(ValueError):
+            op.flags.writeable = True
     for f in (outcomes.frame, synthesize(SKEW, BELL, 0.4).outcomes.frame):
         for value in (f.perms, f.scale, f.q.coeffs):
             for a in (value, value.base):
@@ -489,6 +492,53 @@ def test_frame_outcomes_are_read_only():
     replaced = dataclasses.replace(proto, outcomes=outcomes[:1] + rest)
     assert _frame(replaced) is None
     assert _frame(dataclasses.replace(proto, p_total=0.4)) is _frame(proto)
+
+
+def test_stage_one_is_one_value_on_every_protocol():
+    # A synthesized protocol, the same read back from its file and one built
+    # by hand from copies of its operators all hold stage 1 as read-only
+    # stacks whose rows are the outcomes' arrays; only the first has a frame.
+    rng = np.random.default_rng(73)
+    sa, sb = random_state(3, 5, rng), random_state(3, 5, rng)
+    synthesized = synthesize(sa, sb, max_probability(sa, sb) / 2)
+    loaded = protocol_from_dict(json.loads(json.dumps(protocol_to_dict(synthesized))))
+    arrays = [(np.array(out.M), np.array(out.U)) for out in synthesized.outcomes]
+    by_hand = LoccProtocol(
+        outcomes=[StageOneOutcome(out.q, m, u) for out, (m, u) in zip(synthesized.outcomes, arrays)],
+        M0=synthesized.M0, stage2=synthesized.stage2, dims=(3, 5), p_total=synthesized.p_total,
+    )
+    report = verify(by_hand, sa, sb).as_dict()
+    for m, u in arrays:  # the caller's arrays, written after construction
+        m[...] = 0.0
+        u[...] = 0.0
+    want = synthesized.outcomes
+    for proto in (synthesized, loaded, by_hand):
+        s1 = proto.outcomes
+        k = len(s1)
+        assert (s1.q.shape, s1.M.shape, s1.U.shape) == ((k,), (k, 3, 3), (k, 5, 5))
+        assert (s1.frame is None) == (proto is not synthesized)
+        for stack in (s1.q, s1.M, s1.U):
+            with pytest.raises(ValueError):
+                stack.flags.writeable = True
+        for i, out in enumerate(s1):
+            assert np.float64(out.q).tobytes() == s1.q[i].tobytes()
+            assert out.M.tobytes() == s1.M[i].tobytes() and np.shares_memory(out.M, s1.M)
+            assert out.U.tobytes() == s1.U[i].tobytes() and np.shares_memory(out.U, s1.U)
+        for got, ref in ((s1.q, want.q), (s1.M, want.M), (s1.U, want.U)):
+            assert got.tobytes() == ref.tobytes()
+    assert verify(by_hand, sa, sb).as_dict() == report
+
+
+@pytest.mark.parametrize("framed", [True, False])
+def test_copy_and_pickle_keep_stage_one(framed):
+    proto = synthesize(SKEW, BELL, 0.4)
+    proto = proto if framed else _dense(proto)
+    report = verify(proto, SKEW, BELL).as_dict()
+    for again in (copy.copy(proto), copy.deepcopy(proto), pickle.loads(pickle.dumps(proto))):
+        assert (_frame(again) is not None) == framed
+        assert verify(again, SKEW, BELL).as_dict() == report
+        with pytest.raises(ValueError):
+            again.outcomes.M.flags.writeable = True
 
 
 # ---------------------------------------------------------------------------

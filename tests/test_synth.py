@@ -594,7 +594,8 @@ def _rectangular_protocol():
 
 
 # Each breaks one rule of a (3, 5) protocol: an operator of the other
-# party's size, a weight outside [0, 1] or NaN, or dims of three sizes.
+# party's size, a weight outside [0, 1] or NaN, dims of three sizes, or
+# swapped dims that the framed stage-1 stacks do not fit.
 _MALFORMED = {
     "M": lambda p: with_outcome0(p, M=np.eye(5)),
     "U": lambda p: with_outcome0(p, U=np.eye(3)),
@@ -603,6 +604,7 @@ _MALFORMED = {
     "V": lambda p: with_stage2(p, V=np.eye(3)),
     "N_fail": lambda p: with_stage2(p, N_fail=np.eye(5)),
     "dims": lambda p: dataclasses.replace(p, dims=(3, 5, 1)),
+    "dims=(5, 3)": lambda p: dataclasses.replace(p, dims=(5, 3)),
     **{f"q={w}": lambda p, w=w: with_outcome0(p, q=w) for w in (-0.1, 1.5, math.nan)},
     **{f"p={w}": lambda p, w=w: with_stage2(p, p=w) for w in (-0.1, 1.5, math.nan)},
     **{f"p_total={w}": lambda p, w=w: dataclasses.replace(p, p_total=w)
