@@ -23,24 +23,18 @@ from .errors import (
     InvalidInputError,
     LoccForgeError,
     NumericalDegeneracyError,
-    UnsupportedShapeError,
 )
-from .majorize import BirkhoffDecomposition, birkhoff, bistochastic_link, caratheodory_prune, compare
 from .simulate import EstimateResult, RunTrace, VerificationReport, estimate, run_once, verify
 from .synth import (
     FeasibilityReport,
     LoccProtocol,
     StageOneOutcome,
     StageTwo,
-    deterministic_stage,
     feasibility,
-    final_contraction,
-    intermediate_vector,
     max_probability,
     reduce_bob,
     substochastic_matrix,
     synthesize,
-    uhlmann_decompose,
 )
 
 __all__ = [
@@ -57,22 +51,12 @@ __all__ = [
     "InvalidInputError",
     "InfeasibleError",
     "NumericalDegeneracyError",
-    "UnsupportedShapeError",
-    "BirkhoffDecomposition",
-    "compare",
-    "bistochastic_link",
-    "birkhoff",
-    "caratheodory_prune",
     "FeasibilityReport",
     "LoccProtocol",
     "StageOneOutcome",
     "StageTwo",
     "max_probability",
     "feasibility",
-    "intermediate_vector",
-    "uhlmann_decompose",
-    "deterministic_stage",
-    "final_contraction",
     "synthesize",
     "reduce_bob",
     "substochastic_matrix",

@@ -43,6 +43,9 @@ class BipartiteState:
             )
         object.__setattr__(self, "amp", frozen(a))
 
+    def __reduce__(self):  # copies and pickles rebuild from amp: checked, frozen, no cached form
+        return type(self), (self.amp,)
+
     @property
     def dims(self) -> tuple[int, int]:
         return self.amp.shape

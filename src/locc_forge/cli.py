@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rewrite a Bob-side contraction as an Alice contraction plus Bob unitary",
     )
     p.add_argument("operator", help="operator JSON file ({'matrix': ...})")
-    p.add_argument("state", help="square bipartite state JSON file")
+    p.add_argument("state", help="bipartite state JSON file")
     _add_common(p)
     p.set_defaults(func=cmd_reduce_bob)
 

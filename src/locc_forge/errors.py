@@ -23,7 +23,3 @@ class InfeasibleError(LoccForgeError):
 
 class NumericalDegeneracyError(LoccForgeError):
     """A numerical routine could not make progress at the given tolerance."""
-
-
-class UnsupportedShapeError(LoccForgeError):
-    """Operation defined only for a restricted shape (e.g. square states)."""

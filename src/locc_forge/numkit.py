@@ -73,6 +73,12 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
 
+def refrozen(cls, *fields):
+    """``cls(*fields)`` with every array field :func:`frozen`; copies and pickles of a
+    record of frozen arrays rebuild through it, so none of them comes back writeable."""
+    return cls(*(frozen(f) if isinstance(f, np.ndarray) else f for f in fields))
+
+
 @dataclass(frozen=True)
 class SchmidtForm:
     """Schmidt (singular value) decomposition ``left_basis @ diag(coeffs) @ right_basis``.
@@ -88,6 +94,9 @@ class SchmidtForm:
     left_basis: np.ndarray
     coeffs: np.ndarray
     right_basis: np.ndarray
+
+    def __reduce__(self):
+        return refrozen, (type(self), self.left_basis, self.coeffs, self.right_basis)
 
     def reconstruct(self) -> np.ndarray:
         rows, cols = self.left_basis.shape[0], self.right_basis.shape[0]

@@ -35,8 +35,9 @@ import numpy as np
 
 from . import majorize
 from .bipartite import NORM_ATOL, BipartiteState, _spectral_rank, schmidt, squared_spectrum
-from .errors import InfeasibleError, InvalidInputError, UnsupportedShapeError
-from .numkit import SchmidtForm, as_matrix, frozen, hermitian_eigs, opnorm, transposition_unitary
+from .errors import InfeasibleError, InvalidInputError
+from .numkit import (SchmidtForm, as_matrix, frozen, hermitian_eigs, opnorm, rect_diag, refrozen,
+                     transposition_unitary)
 
 #: Slack allowed when a requested probability sits right at the maximum.
 FEAS_ATOL = 1e-9
@@ -243,6 +244,9 @@ class _StageOneFrame(NamedTuple):
     perms: np.ndarray
     scale: np.ndarray
 
+    def __reduce__(self):  # copies and pickles stay frozen; the forms rebuild themselves
+        return refrozen, (type(self), *self)
+
 
 class _StageOne(tuple):
     """Stage 1: K ``StageOneOutcome`` views of the rows of the read-only stacks ``q``
@@ -439,31 +443,34 @@ def synthesize(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Loc
 # ---------------------------------------------------------------------------
 
 def reduce_bob(m, psi: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
-    """Trade a Bob-side contraction for an Alice-side one plus a Bob unitary.
+    """Trade a Bob-side contraction for an Alice-side one plus a Bob unitary (Lo-Popescu).
 
-    For a square state ``psi`` and a contraction ``m`` on Bob's system,
+    For a state ``psi`` of any shape and a contraction ``m`` on Bob's system,
     returns ``(N, U)`` with ``amp @ m.T == N @ amp @ U.T``, ``U`` unitary and
-    ``||N|| <= ||m||``.  Built from the transposition unitaries of the
-    amplitude matrix (from its cached Schmidt form) and of ``m @ amp.T``.
-
-    Only square amplitude matrices are supported: the transposition unitary
-    is defined for square operators only.
+    ``||N|| <= ||m||``, from the transposition unitaries of a square amplitude
+    matrix (its Schmidt form is known) and of ``m @ amp.T``.  Unless ``dA == dB``
+    that matrix is ``S = X' amp = diag(coeffs) right_basis`` for Alice's ``r``
+    first left Schmidt vectors ``X`` (``amp = X S``), padded with zero rows to
+    ``dB x dB``, and ``N = X N_S[:r, :r] X'``.  No singular value is divided by.
     """
     da, db = psi.dims
-    if da != db:
-        raise UnsupportedShapeError(
-            f"reduce_bob needs a square amplitude matrix, got {da} x {db}"
-        )
     mm = as_matrix(m)
     if mm.shape != (db, db):
         raise InvalidInputError(f"operator shape {mm.shape} does not act on dim {db}")
     if opnorm(mm) > 1.0 + 1e-10:
         raise InvalidInputError("operator is not a contraction (||m|| > 1)")
     fp = schmidt(psi)
-    k_psi = fp.right_basis.T @ fp.left_basis.conj().T  # transposition unitary of amp
-    k_mpt = transposition_unitary(mm @ psi.amp.T)
+    if da == db:  # amp is the square matrix reduced and k_psi its transposition unitary
+        amp, k_psi = psi.amp, fp.right_basis.T @ fp.left_basis.conj().T
+    else:
+        x = fp.left_basis[:, :db]
+        amp, k_psi = rect_diag(fp.coeffs, db, db) @ fp.right_basis, fp.right_basis.T
+    k_mpt = transposition_unitary(mm @ amp.T)
     n = k_mpt @ mm @ k_psi
     u = k_mpt.conj().T @ k_psi.conj().T
+    if da != db:
+        r = x.shape[1]
+        n = x @ n[:r, :r] @ x.conj().T
     return n, u
 
 
@@ -484,7 +491,7 @@ def substochastic_matrix(m, source: BipartiteState, target: BipartiteState, p: f
     if source.dims != target.dims:
         raise InvalidInputError(f"dimension mismatch: {source.dims} vs {target.dims}")
     s, balance = _flow_balance(m, source, target, p)
-    if balance > 1e-6:
+    if not balance <= 1e-6:  # NaN fails
         raise InvalidInputError(
             "operators do not realize a single-shot protocol at this probability"
         )

@@ -292,6 +292,16 @@ def test_reduce_bob_command(state_files, tmp_path):
     assert doc["residual"] <= 1e-12
 
 
+def test_reduce_bob_command_on_rectangular_state(tmp_path):
+    state_path, op_path = tmp_path / "wide.json", tmp_path / "op.json"
+    save_state(from_schmidt([0.7, 0.3], 2, 3), str(state_path))
+    op_path.write_text(json.dumps({"matrix": matrix_to_json(np.diag([1.0, 0.5j, -0.25]))}))
+    proc = run_cli("reduce-bob", str(op_path), str(state_path))
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["residual"] <= 1e-12
+
+
 def test_renormalize_gate(tmp_path):
     amp = np.diag([np.sqrt(0.5), np.sqrt(0.5)]) * (1.0 + 1e-4)
     path = tmp_path / "off.json"

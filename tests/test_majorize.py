@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -490,6 +491,20 @@ def test_prune_seven_terms_4x4():
     assert np.abs(pruned.reconstruct() - target).max() <= 1e-9
     assert abs(pruned.weights.sum() - 1.0) <= 1e-12
     assert np.all(pruned.weights >= 0.0)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_prune_every_permutation(d):
+    # All d! permutations exceed the bound (d-1)**2 + 1, so the pruning loop runs.
+    rng = np.random.default_rng(27 + d)
+    perms = list(itertools.permutations(range(d)))
+    weights = map(float, rng.dirichlet(np.ones(len(perms))))
+    dec = BirkhoffDecomposition(terms=tuple(zip(weights, perms)), d=d)
+    pruned = caratheodory_prune(dec, d)
+    assert len(pruned.terms) <= (d - 1) ** 2 + 1 < len(perms)
+    assert np.all(pruned.weights > 0.0)
+    assert abs(pruned.weights.sum() - 1.0) <= 1e-12
+    assert np.abs(pruned.reconstruct() - dec.reconstruct()).max() <= 1e-12
 
 
 def test_link_decompose_prune_pipeline():

@@ -531,14 +531,25 @@ def test_stage_one_is_one_value_on_every_protocol():
 
 @pytest.mark.parametrize("framed", [True, False])
 def test_copy_and_pickle_keep_stage_one(framed):
+    # A state rebuilds from amp (checked, frozen, its form taken afresh) and a
+    # frame and its forms through numkit.frozen, so no copy is writeable or stale.
     proto = synthesize(SKEW, BELL, 0.4)
     proto = proto if framed else _dense(proto)
     report = verify(proto, SKEW, BELL).as_dict()
-    for again in (copy.copy(proto), copy.deepcopy(proto), pickle.loads(pickle.dumps(proto))):
+    for copier in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        again, source, target = copier(proto), copier(SKEW), copier(BELL)
         assert (_frame(again) is not None) == framed
-        assert verify(again, SKEW, BELL).as_dict() == report
-        with pytest.raises(ValueError):
-            again.outcomes.M.flags.writeable = True
+        assert verify(again, source, target).as_dict() == report
+        s1 = again.outcomes
+        arrays, forms = [source.amp, target.amp, s1.q, s1.M, s1.U], [schmidt(source)]
+        if framed:
+            arrays += [s1.frame.perms, s1.frame.scale]
+            forms += [s1.frame.a, s1.frame.q]
+        for form in forms:
+            arrays += [form.left_basis, form.coeffs, form.right_basis]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from locc_forge.bipartite import (
     schmidt_rank,
     squared_spectrum,
 )
-from locc_forge.errors import InfeasibleError, InvalidInputError, UnsupportedShapeError
+from locc_forge.errors import InfeasibleError, InvalidInputError
 from locc_forge.numkit import opnorm, unitarity_defect
 from locc_forge.simulate import verify
 from locc_forge.synth import (
@@ -760,9 +760,19 @@ def test_reduce_bob_reads_the_cached_form(svd_calls):
     assert opnorm(psi.amp @ m.T - n @ psi.amp @ u.T) <= 1e-12
 
 
-def test_reduce_bob_rejects_rectangular_state():
-    with pytest.raises(UnsupportedShapeError):
-        reduce_bob(np.eye(3), from_schmidt([1.0], 2, 3))
+def test_reduce_bob_any_shape():
+    # Lo-Popescu holds for every shape: dA < dB pads Alice with zero rows and
+    # dA > dB restricts her to her Schmidt support, both reducing to the square case.
+    rng = np.random.default_rng(75)
+    for da, db in itertools.product(range(1, 8), repeat=2):
+        for rank in (None, int(rng.integers(1, min(da, db) + 1))):
+            psi = random_state(da, db, rng, rank)
+            m = random_contraction(db, rng)
+            n, u = reduce_bob(m, psi)
+            assert (n.shape, u.shape) == ((da, da), (db, db))
+            assert opnorm(psi.amp @ m.T - n @ psi.amp @ u.T) <= 1e-12
+            assert unitarity_defect(u) <= 1e-10
+            assert opnorm(n) <= opnorm(m) + 1e-12
 
 
 def test_reduce_bob_rejects_expansion():
@@ -777,6 +787,11 @@ def test_reduce_bob_rejects_expansion():
 def test_substochastic_identity_protocol():
     s = substochastic_matrix(np.eye(2), BELL, BELL, 1.0)
     assert np.allclose(s, np.eye(2), atol=1e-12)
+
+
+def test_substochastic_rejects_nan_probability():
+    with pytest.raises(InvalidInputError):
+        substochastic_matrix(np.eye(2), BELL, BELL, float("nan"))
 
 
 def test_substochastic_canonical():
