@@ -148,7 +148,8 @@ def protocol_to_dict(protocol: LoccProtocol) -> dict:
 
 
 def protocol_from_dict(doc: dict) -> LoccProtocol:
-    """The protocol of a file's document; ``LoccProtocol`` checks its shapes and weights."""
+    """The protocol of a file's document; ``LoccProtocol`` checks its shapes and weights,
+    and ``meta.p_total``, if given, must be what stage 2 delivers."""
     try:
         stage1 = doc["stage1"]
         meta = doc.get("meta", {})
@@ -164,15 +165,18 @@ def protocol_from_dict(doc: dict) -> LoccProtocol:
         stage2 = None if s2 is None else StageTwo(
             float(s2["p"]), *(matrix_from_json(s2[name]) for name in ("N", "V", "N_fail"))
         )
-        return LoccProtocol(
+        protocol = LoccProtocol(
             outcomes=outcomes,
             M0=m0,
             stage2=stage2,
             dims=(da, db),
-            p_total=float(meta.get("p_total", 1.0 if stage2 is None else stage2.p)),
             source_digest=meta.get("source_digest"),
             target_digest=meta.get("target_digest"),
         )
+        if float(meta.get("p_total", protocol.p_total)) != protocol.p_total:  # NaN differs too
+            raise CliInputError(f"malformed protocol file: meta.p_total {meta['p_total']!r} "
+                                f"is not what stage 2 delivers ({protocol.p_total!r})")
+        return protocol
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"malformed protocol file: {exc}") from exc
 
@@ -193,7 +197,7 @@ def _finite_or_null(payload: dict) -> dict:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, allow_nan=False)
+    text = json.dumps(_finite_or_null(payload), allow_nan=False)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -258,7 +262,7 @@ def cmd_verify(args) -> int:
         if digest and digest != state.digest:
             print(f"note: {name} state digest differs from the protocol meta", file=sys.stderr)
     report = verify(protocol, a, b, tol=tol)
-    _emit(_finite_or_null(report.as_dict()), args.output)
+    _emit(report.as_dict(), args.output)
     print(
         f"max residual {report.max_residual:.3e} vs tol {tol:.3e}: "
         f"{'PASS' if report.passed else 'FAIL'}",
@@ -279,7 +283,7 @@ def cmd_simulate(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    _emit(_finite_or_null(payload), args.output)
+    _emit(payload, args.output)
     print(
         f"p_hat = {result.p_hat:.4f} +/- {result.stderr:.4f} "
         f"({args.trials} trials, seed {args.seed}), "

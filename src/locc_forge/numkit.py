@@ -111,8 +111,8 @@ def svd(m) -> SchmidtForm:
 def pinv(m, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     """Moore-Penrose inverse of ``m``.
 
-    Singular values at or above ``rank_rtol`` times the largest one are
-    inverted, smaller ones are treated as exact zeros.
+    Singular values strictly above ``rank_rtol`` times the largest one are
+    inverted; those at or below it are treated as exact zeros.
     """
     if rank_rtol <= 0:
         raise InvalidInputError("rank_rtol must be positive")

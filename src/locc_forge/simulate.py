@@ -52,7 +52,9 @@ _MIN_FAIL_WEIGHT = 1e-30
 class VerificationReport:
     """Residuals of all protocol identities.
 
-    completeness_residual        operator-norm defect of sum M'M + M0'M0 = I
+    completeness_residual        operator-norm defect of sum M'M + M0'M0 = I,
+                                 or |sum q - 1| if larger (stage 1 is
+                                 deterministic, so no weight is left to M0)
     per_outcome_residuals        per branch: || M A U.T - sqrt(q) Q ||
     stage2_residual              max of the stage-2 map defect
                                  || N Q V.T - sqrt(p) B || and the
@@ -102,20 +104,10 @@ def _check_dims(protocol: LoccProtocol, *states: BipartiteState) -> None:
         raise InvalidInputError("state dimensions do not match the protocol")
 
 
-class _StageOneChecks(NamedTuple):
-    """Stage-1 residuals, the intermediate state and a bound on its error."""
-
-    per_outcome: np.ndarray
-    unitarity: np.ndarray
-    m_norms: np.ndarray
-    m0_norm: float
-    completeness: float
-    target: np.ndarray
-    target_slack: float
-
-
 def _dense_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: BipartiteState):
-    """Stage 1 checked on the dense stacks, all outcomes at once."""
+    """Stage 1 checked on the dense stacks, all outcomes at once: the per-outcome residuals,
+    the ``U_k`` unitarity defects, ``||M_k||``, ``||M0||``, the completeness defect, the
+    intermediate state (B without a stage 2) and a bound on its error (0 here), in order."""
     s1, da = protocol.outcomes, protocol.dims[0]
     m, u, root_q = s1.M, s1.U, np.sqrt(s1.q)[:, None, None]
     branches = m @ a_state.amp @ np.swapaxes(u, 1, 2)
@@ -125,15 +117,8 @@ def _dense_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: B
     m0_norm = float(np.sqrt(_hermitian_norms(acc)))
     for g in gram:  # in outcome order
         acc += g
-    return _StageOneChecks(
-        per_outcome=opnorm(branches - root_q * target),
-        unitarity=unitarity_defect(u),
-        m_norms=np.sqrt(_hermitian_norms(gram)),
-        m0_norm=m0_norm,
-        completeness=float(_hermitian_norms(acc - np.eye(da))),
-        target=target,
-        target_slack=0.0,
-    )
+    return (opnorm(branches - root_q * target), unitarity_defect(u), np.sqrt(_hermitian_norms(gram)),
+            m0_norm, float(_hermitian_norms(acc - np.eye(da))), target, 0.0)
 
 
 def _frobenius(m: np.ndarray) -> float:
@@ -152,7 +137,8 @@ def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: B
     Frobenius norm, which bounds the operator norm.  Every reported residual
     is the frame term plus those terms, an upper bound on the residual of
     the dense operators.  ``M0`` and the completeness sum stay dense:
-    ``M0'M0 + X_A diag(sum_k E_k'E_k) X_A' - I``.
+    ``M0'M0 + X_A diag(sum_k E_k'E_k) X_A' - I``.  Returns the seven values
+    ``_dense_stage_one`` lists, in its order, with the frame's intermediate state.
     """
     f = protocol.outcomes.frame
     a, q, scale = f.a, f.q, f.scale
@@ -188,15 +174,9 @@ def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: B
         target_slack = float(root_q @ branch_err)
         frame_res = np.abs(coeffs - root_q[:, None] * mixture[perms]).max(axis=1)
         per_outcome = gain * frame_res + branch_err + root_q * target_slack
-    return _StageOneChecks(
-        per_outcome=per_outcome,
-        unitarity=np.full(len(root_q), e_ya + (1.0 + e_ya) * e_yq),
-        m_norms=math.sqrt((1.0 + e_xq) * (1.0 + e_xa)) * e_norms,
-        m0_norm=math.sqrt(m0_norm),
-        completeness=completeness + (1.0 + e_xa) * e_xq * float(g.max()),
-        target=target,
-        target_slack=target_slack,
-    )
+    return (per_outcome, np.full(len(root_q), e_ya + (1.0 + e_ya) * e_yq),
+            math.sqrt((1.0 + e_xq) * (1.0 + e_xa)) * e_norms, math.sqrt(m0_norm),
+            completeness + (1.0 + e_xa) * e_xq * float(g.max()), target, target_slack)
 
 
 def verify(
@@ -240,6 +220,7 @@ def verify(
     per_outcome, u_defects, m_norms, m0_norm, completeness, target, target_slack = stage_one(
         protocol, a_state, b_state
     )
+    completeness = np.maximum(completeness, abs(protocol.outcomes.q.sum() - 1.0))  # NaN propagates
 
     unitarity = u_defects.tolist()
     norms = [*m_norms.tolist(), m0_norm]
@@ -250,9 +231,8 @@ def verify(
         n_norm = opnorm(s2.N)
         unitarity.append(v_defect)
         norms.append(n_norm)
-        map_defect = opnorm(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp)
-        if target_slack:
-            map_defect += n_norm * math.sqrt(1.0 + v_defect) * target_slack
+        map_defect = (opnorm(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp)
+                      + n_norm * math.sqrt(1.0 + v_defect) * target_slack)
         completion = s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - np.eye(len(s2.N))
         stage2_residual = np.maximum(map_defect, _hermitian_norms(completion))
         norm_t = float(np.linalg.norm(target))

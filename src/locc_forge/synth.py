@@ -273,8 +273,9 @@ class LoccProtocol:
     ``dataclasses.replace``) raises :class:`InvalidInputError` unless ``dims``
     holds two sizes ``(dA, dB)``, every ``M``, ``M0``, ``N`` and ``N_fail`` is
     a ``(dA, dA)`` array, every ``U`` and ``V`` a ``(dB, dB)`` one, and every
-    ``q``, the stage-2 ``p`` and ``p_total`` lie in ``[0, 1]`` (NaN fails).
-    Entries are not scanned: a NaN one makes ``verify`` fail.
+    ``q`` and the stage-2 ``p`` lie in ``[0, 1]`` (NaN fails).  Entries are
+    not scanned: a NaN one makes ``verify`` fail.  ``p_total`` is not stored:
+    it is what stage 2 delivers, ``stage2.p``, or 1 without a stage 2.
 
     ``outcomes`` given as a sequence of ``StageOneOutcome`` are then stacked
     once into stage 1's one value (``.q``, ``.M``, ``.U``, copies, ``.frame``
@@ -286,7 +287,6 @@ class LoccProtocol:
     M0: np.ndarray
     stage2: StageTwo | None
     dims: tuple[int, int]
-    p_total: float
     source_digest: str | None = None
     target_digest: str | None = None
 
@@ -298,7 +298,7 @@ class LoccProtocol:
         s2 = self.stage2
         alice = [out.M for out in self.outcomes] + [self.M0]
         bob = [out.U for out in self.outcomes]
-        weights = [out.q for out in self.outcomes] + [self.p_total]
+        weights = [out.q for out in self.outcomes]
         if s2 is not None:
             alice += [s2.N, s2.N_fail]
             bob.append(s2.V)
@@ -309,12 +309,17 @@ class LoccProtocol:
                 f"M, M0, N and N_fail must be {(da, da)} arrays and U and V {(db, db)} arrays"
             )
         if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails both comparisons
-            raise InvalidInputError("every q, the stage-2 p and p_total must lie in [0, 1]")
+            raise InvalidInputError("every q and the stage-2 p must lie in [0, 1]")
         if not isinstance(self.outcomes, _StageOne):  # stacked once; zero outcomes to (0, d, d)
             k = len(self.outcomes)
             stacks = (np.array(weights[:k], dtype=float), np.array(alice[:k] or np.zeros((0, da, da))),
                       np.array(bob[:k] or np.zeros((0, db, db))))
             object.__setattr__(self, "outcomes", _StageOne(*stacks))
+
+    @property
+    def p_total(self) -> float:
+        """Overall success probability: the stage-2 ``p``, or 1 without a stage 2."""
+        return 1.0 if self.stage2 is None else self.stage2.p
 
 
 def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_StageOne, np.ndarray]:
@@ -416,23 +421,15 @@ def synthesize(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Loc
         )
     p_num = min(p_num, p_max)
 
-    fa = schmidt(a_state)
     fb = schmidt(b_state)
-    if p_num == 1.0:
-        outcomes, m0 = _stage_one(fa, fb)
-        stage2 = None
-    else:
-        coeffs_q = frozen(np.sqrt(_intermediate(fb.coeffs**2, p_num)))
-        fq = SchmidtForm(fb.left_basis, coeffs_q, fb.right_basis)
-        outcomes, m0 = _stage_one(fa, fq)
-        stage2 = StageTwo(p_num, *_stage_two(fq, fb, p_num))
-
+    fq = fb if p_num == 1.0 else SchmidtForm(
+        fb.left_basis, frozen(np.sqrt(_intermediate(fb.coeffs**2, p_num))), fb.right_basis)
+    outcomes, m0 = _stage_one(schmidt(a_state), fq)
     return LoccProtocol(
         outcomes=outcomes,
         M0=m0,
-        stage2=stage2,
+        stage2=None if p_num == 1.0 else StageTwo(float(p_num), *_stage_two(fq, fb, p_num)),
         dims=a_state.dims,
-        p_total=float(p_num),
         source_digest=a_state.digest,
         target_digest=b_state.digest,
     )
@@ -448,30 +445,22 @@ def reduce_bob(m, psi: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
     For a state ``psi`` of any shape and a contraction ``m`` on Bob's system,
     returns ``(N, U)`` with ``amp @ m.T == N @ amp @ U.T``, ``U`` unitary and
     ``||N|| <= ||m||``, from the transposition unitaries of a square amplitude
-    matrix (its Schmidt form is known) and of ``m @ amp.T``.  Unless ``dA == dB``
-    that matrix is ``S = X' amp = diag(coeffs) right_basis`` for Alice's ``r``
-    first left Schmidt vectors ``X`` (``amp = X S``), padded with zero rows to
-    ``dB x dB``, and ``N = X N_S[:r, :r] X'``.  No singular value is divided by.
+    matrix (its Schmidt form is known) and of ``m @ amp.T``.  That matrix is
+    ``S = X' amp = diag(coeffs) right_basis`` for Alice's ``r`` first left
+    Schmidt vectors ``X`` (``amp = X S``), padded with zero rows to ``dB x dB``,
+    and ``N = X N_S[:r, :r] X'``.  No singular value is divided by.
     """
-    da, db = psi.dims
+    db = psi.dims[1]
     mm = as_matrix(m)
     if mm.shape != (db, db):
         raise InvalidInputError(f"operator shape {mm.shape} does not act on dim {db}")
     if opnorm(mm) > 1.0 + 1e-10:
         raise InvalidInputError("operator is not a contraction (||m|| > 1)")
     fp = schmidt(psi)
-    if da == db:  # amp is the square matrix reduced and k_psi its transposition unitary
-        amp, k_psi = psi.amp, fp.right_basis.T @ fp.left_basis.conj().T
-    else:
-        x = fp.left_basis[:, :db]
-        amp, k_psi = rect_diag(fp.coeffs, db, db) @ fp.right_basis, fp.right_basis.T
-    k_mpt = transposition_unitary(mm @ amp.T)
-    n = k_mpt @ mm @ k_psi
-    u = k_mpt.conj().T @ k_psi.conj().T
-    if da != db:
-        r = x.shape[1]
-        n = x @ n[:r, :r] @ x.conj().T
-    return n, u
+    r, x, k_s = fp.coeffs.size, fp.left_basis[:, :db], fp.right_basis.T  # k_s: S's, from its SVD
+    k_mpt = transposition_unitary(mm @ (rect_diag(fp.coeffs, db, db) @ fp.right_basis).T)
+    n_s = (k_mpt @ mm @ k_s)[:r, :r]
+    return x @ n_s @ x.conj().T, k_mpt.conj().T @ k_s.conj().T
 
 
 def substochastic_matrix(m, source: BipartiteState, target: BipartiteState, p: float) -> np.ndarray:

@@ -79,6 +79,16 @@ def with_stage2(protocol, **changes):
     return dataclasses.replace(protocol, stage2=dataclasses.replace(protocol.stage2, **changes))
 
 
+def fold_into_m0(protocol, k):
+    """``protocol`` with stage-1 outcome ``k`` dropped and folded into the
+    completion operator, ``M0 <- sqrt(M0'M0 + M_k'M_k)``: still complete."""
+    m_k = protocol.outcomes[k].M
+    e, v = np.linalg.eigh(protocol.M0.conj().T @ protocol.M0 + m_k.conj().T @ m_k)
+    m0 = (v * np.sqrt(np.clip(e, 0.0, None))) @ v.conj().T
+    rest = tuple(protocol.outcomes[:k]) + tuple(protocol.outcomes[k + 1:])
+    return dataclasses.replace(protocol, outcomes=rest, M0=m0)
+
+
 def reproducer_pairs(count=400):
     """Seed-5 square pairs at d = 2..8 with Dirichlet(0.1) spectra, whose
     smallest Schmidt coefficients reach far below roundoff."""

@@ -20,6 +20,8 @@ from locc_forge.cli import (
 from locc_forge.simulate import VERIFY_TOL, verify
 from locc_forge.synth import synthesize
 
+from helpers import fold_into_m0
+
 BELL = from_schmidt([0.5, 0.5], 2, 2)
 SKEW = from_schmidt([0.8, 0.2], 2, 2)
 
@@ -142,6 +144,16 @@ def test_verify_detects_corruption(state_files, tmp_path):
     assert not json.loads(proc.stdout)["passed"]
 
 
+def test_verify_fails_an_outcome_folded_into_m0(state_files, tmp_path):
+    bell_path, skew_path = state_files
+    proto = synthesize(BELL, SKEW, 1.0)
+    path = tmp_path / "folded.json"
+    path.write_text(json.dumps(protocol_to_dict(fold_into_m0(proto, 0))))
+    proc = run_cli("verify", str(path), bell_path, skew_path)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["completeness_residual"] >= proto.outcomes.q[0] - 1e-12
+
+
 def test_infeasible_synthesize_exit_code(state_files):
     bell_path, skew_path = state_files
     proc = run_cli("synthesize", skew_path, bell_path, "--p", "0.5")
@@ -250,6 +262,8 @@ def test_states_of_other_dimensions_exit_2(state_files, tmp_path):
         ("verify", lambda doc: doc["stage1"]["outcomes"][0].update(q=1.5)),
         ("verify", lambda doc: doc["stage2"].update(p=-0.1)),
         ("verify", lambda doc: doc["meta"].update(p_total=float("inf"))),
+        ("verify", lambda doc: doc["meta"].update(p_total=0.9)),
+        ("simulate", lambda doc: doc["meta"].update(p_total=0.9)),
         ("simulate", lambda doc: doc["stage1"]["outcomes"][0].update(q=-0.5)),
         ("verify", lambda doc: doc["stage1"]["outcomes"][0]["M"][0][0].__setitem__(0, float("nan"))),
         ("verify", lambda doc: doc["stage1"]["outcomes"][0]["M"][0][0].append(7.0)),
@@ -257,6 +271,7 @@ def test_states_of_other_dimensions_exit_2(state_files, tmp_path):
     ],
     ids=["short-dims", "meta-list", "small-M0-simulate", "small-M0-verify",
          "negative-q", "nan-q", "q-above-1", "negative-p", "inf-p_total",
+         "p_total-not-stage2", "p_total-not-stage2-simulate",
          "negative-q-simulate", "nan-M-entry", "triple-M-entry", "huge-int-M-entry"],
 )
 def test_malformed_protocol_exits_2(state_files, tmp_path, command, edit):

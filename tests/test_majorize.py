@@ -474,12 +474,14 @@ def test_prune_single_term_noop():
     assert caratheodory_prune(dec, 3) is dec
 
 
-def test_prune_seven_terms_4x4():
+def test_prune_fourteen_terms_4x4():
+    # 14 of the 24 permutations exceed the bound (d-1)**2 + 1 = 10, so the
+    # pruning loop runs on a partial support.
     rng = np.random.default_rng(25)
-    weights = rng.dirichlet(np.ones(7))
+    weights = rng.dirichlet(np.ones(14))
     perms = []
     seen = set()
-    while len(perms) < 7:
+    while len(perms) < 14:
         p = tuple(int(i) for i in rng.permutation(4))
         if p not in seen:
             seen.add(p)
@@ -487,7 +489,7 @@ def test_prune_seven_terms_4x4():
     dec = BirkhoffDecomposition(terms=tuple(zip(map(float, weights), perms)), d=4)
     target = dec.reconstruct()
     pruned = caratheodory_prune(dec, 4)
-    assert len(pruned.terms) <= 10
+    assert len(pruned.terms) <= 10 < len(dec.terms)
     assert np.abs(pruned.reconstruct() - target).max() <= 1e-9
     assert abs(pruned.weights.sum() - 1.0) <= 1e-12
     assert np.all(pruned.weights >= 0.0)

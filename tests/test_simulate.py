@@ -24,6 +24,7 @@ from locc_forge.synth import LoccProtocol, StageOneOutcome, _flow_balance, max_p
 
 from helpers import (
     comparable_spectra,
+    fold_into_m0,
     random_state,
     reproducer_pairs,
     state_with_spectrum,
@@ -45,7 +46,6 @@ def _perturbed(protocol, eps=1e-3):
         M0=protocol.M0,
         stage2=protocol.stage2,
         dims=protocol.dims,
-        p_total=protocol.p_total,
         source_digest=protocol.source_digest,
         target_digest=protocol.target_digest,
     )
@@ -419,6 +419,27 @@ def test_verify_empty_protocol():
     assert repr(report) == repr(_reference_verify(proto, BELL, SKEW))
 
 
+def test_verify_fails_source_weight_left_to_m0():
+    # Stage 1 is deterministic, so its weights sum to 1 and M0 takes none of
+    # the source: a complete stage 1 whose weights fall short of 1 (no
+    # outcome at all, or one folded into M0) fails on completeness.
+    rng = np.random.default_rng(83)
+    sa, sb = random_state(3, 3, rng), random_state(3, 3, rng)
+    empty = LoccProtocol(outcomes=(), M0=np.eye(3), stage2=None, dims=(3, 3))
+    report = verify(empty, sa, sb)
+    assert not report.passed and report.completeness_residual == 1.0
+    for _ in range(40):
+        d = int(rng.integers(2, 7))
+        a, b = comparable_spectra(d, rng)
+        sa, sb = state_with_spectrum(a, d, d, rng), state_with_spectrum(b, d, d, rng)
+        proto = synthesize(sa, sb, "max")
+        assert proto.stage2 is None and verify(proto, sa, sb).passed
+        k = int(np.argmax(proto.outcomes.q))
+        report = verify(fold_into_m0(proto, k), sa, sb)
+        assert not report.passed
+        assert report.completeness_residual >= proto.outcomes.q[k] - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # verify in the Schmidt frame against the dense operators
 # ---------------------------------------------------------------------------
@@ -491,7 +512,7 @@ def test_frame_outcomes_are_read_only():
     assert type(rest) is tuple and rest[0] is outcomes[1]
     replaced = dataclasses.replace(proto, outcomes=outcomes[:1] + rest)
     assert _frame(replaced) is None
-    assert _frame(dataclasses.replace(proto, p_total=0.4)) is _frame(proto)
+    assert _frame(dataclasses.replace(proto, source_digest="other")) is _frame(proto)
 
 
 def test_stage_one_is_one_value_on_every_protocol():
@@ -505,7 +526,7 @@ def test_stage_one_is_one_value_on_every_protocol():
     arrays = [(np.array(out.M), np.array(out.U)) for out in synthesized.outcomes]
     by_hand = LoccProtocol(
         outcomes=[StageOneOutcome(out.q, m, u) for out, (m, u) in zip(synthesized.outcomes, arrays)],
-        M0=synthesized.M0, stage2=synthesized.stage2, dims=(3, 5), p_total=synthesized.p_total,
+        M0=synthesized.M0, stage2=synthesized.stage2, dims=(3, 5),
     )
     report = verify(by_hand, sa, sb).as_dict()
     for m, u in arrays:  # the caller's arrays, written after construction

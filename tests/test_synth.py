@@ -607,9 +607,16 @@ _MALFORMED = {
     "dims=(5, 3)": lambda p: dataclasses.replace(p, dims=(5, 3)),
     **{f"q={w}": lambda p, w=w: with_outcome0(p, q=w) for w in (-0.1, 1.5, math.nan)},
     **{f"p={w}": lambda p, w=w: with_stage2(p, p=w) for w in (-0.1, 1.5, math.nan)},
-    **{f"p_total={w}": lambda p, w=w: dataclasses.replace(p, p_total=w)
-       for w in (-0.1, 1.5, math.nan)},
 }
+
+
+def test_p_total_is_what_stage_two_delivers():
+    proto = _rectangular_protocol()
+    assert proto.p_total == proto.stage2.p
+    assert with_stage2(proto, p=0.1).p_total == 0.1
+    assert dataclasses.replace(proto, stage2=None).p_total == 1.0
+    with pytest.raises(TypeError):
+        dataclasses.replace(proto, p_total=0.9)
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED))
