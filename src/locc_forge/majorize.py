@@ -1,14 +1,14 @@
 """Majorization predicates and the constructive Birkhoff machinery.
 
 Vectors here are entanglement spectra: non-negative weights, compared after
-sorting and zero-padding to a common length. The constructive half writes
-``a < q`` as a mix of at most ``d`` permutations of ``q``, which is all
-synthesis needs: the pair is split in halves down to single entries, each
-half inheriting the head sums its parent holds, and one sweep over the
+zero-padding to a common length and sorting (``_sorted_pair``). The
+constructive half writes ``a < q`` as a mix of at most ``d`` permutations of
+``q``, which is all synthesis needs: the pair is split in halves down to
+single entries, each split taking its own head sums, and one sweep over the
 splits' breakpoints on the weight axis reads off the permutations and their
-weights. The bistochastic matrix of that mix, greedy Birkhoff extraction over
-perfect matchings and pruning to the Caratheodory bound ``(d-1)**2 + 1``
-remain as matrix-level reference tools.
+weights. The bistochastic matrix of that mix, greedy Birkhoff extraction
+over perfect matchings and pruning to the Caratheodory bound
+``(d-1)**2 + 1`` remain as matrix-level reference tools.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ def _clean_vector(x) -> np.ndarray:
     return np.clip(v, 0.0, None)
 
 
-def _pad_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    d = max(len(x), len(y))
-    return (
-        np.concatenate([x, np.zeros(d - len(x))]),
-        np.concatenate([y, np.zeros(d - len(y))]),
-    )
+def _sorted_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both spectra cleaned, right-padded with zeros to one length and sorted non-increasing."""
+    xv, yv = _clean_vector(x), _clean_vector(y)
+    d = max(len(xv), len(yv))
+    return tuple(np.sort(np.concatenate([v, np.zeros(d - len(v))]))[::-1] for v in (xv, yv))
 
 
 def compare(x, y, relation: str, tol: float = SUM_TOL) -> bool:
@@ -63,9 +62,7 @@ def compare(x, y, relation: str, tol: float = SUM_TOL) -> bool:
     """
     if relation not in _RELATIONS:
         raise InvalidInputError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
-    xv, yv = _pad_pair(_clean_vector(x), _clean_vector(y))
-    xs = np.sort(xv)[::-1]
-    ys = np.sort(yv)[::-1]
+    xs, ys = _sorted_pair(x, y)
     hx = np.cumsum(xs)
     hy = np.cumsum(ys)
     if relation == "sub":
@@ -85,9 +82,7 @@ def _permutation_terms(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     the permutahedron of ``q`` (Rado) and at most ``n`` terms are needed.
     Each pair is split in two (``_split``), down to single entries; the
     splits run from an explicit stack of pending pairs, left half first, so
-    no call nests deeper than this one, whatever ``n``.  Only the root and
-    each right half take fresh head sums: a left half inherits a prefix of
-    its parent's, bit-equal to fresh ones because a 1-D ``cumsum`` adds in order.
+    no call nests deeper than this one, whatever ``n``.
 
     The terms are read off the split tree on one weight axis ``[0, 1)``.
     The root owns all of it; a node owning ``[g0, g0 + span)`` splits at
@@ -100,22 +95,22 @@ def _permutation_terms(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     the weights; a gap that rounding leaves at or below 0 is dropped.
     """
     n = len(a)
-    pending = [(a, q, np.arange(n), 0, 0.0, 1.0, None)]  # pair, root coords, offset, g0, span, sums
+    pending = [(a, q, np.arange(n), 0, 0.0, 1.0)]  # pair, root coords, offset, g0, span
     breaks: list[float] = []  # in the order split, so a parent precedes its children
     moves: list[tuple[np.ndarray, np.ndarray]] = []  # root coords and the q indices they take
     while pending:
-        a, q, roots, off, g0, span, sums = pending.pop()
+        a, q, roots, off, g0, span = pending.pop()
         if len(a) == 1:
             continue
-        x, order, k, t, (left, right) = _split(a, q, sums)
+        x, order, k, t = _split(a, q)
         b = g0 + span * (1.0 - 1.0 / t)
         roots = roots[order]
         breaks.append(b)
         moves.append((roots, np.arange(off, off + len(a))))
         span /= t
         pending += [
-            (x[k:], q[k:], roots[k:], off + k, b, span, right),
-            (x[:k], q[:k], roots[:k], off, b, span, left),
+            (x[k:], q[k:], roots[k:], off + k, b, span),
+            (x[:k], q[:k], roots[:k], off, b, span),
         ]
     sweep = np.argsort(breaks, kind="stable")
     gaps = np.diff(np.concatenate(([0.0], np.sort(breaks), [1.0])))
@@ -129,26 +124,26 @@ def _permutation_terms(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     return gaps[live], perms[live]
 
 
-def _split(a: np.ndarray, q: np.ndarray, sums: tuple | None = None) -> tuple:
+def _split(a: np.ndarray, q: np.ndarray) -> tuple:
     """Split of a pair ``a < q`` (``n >= 2``) into two halves at ``k``.
 
     A tight interior prefix splits the pair as it is (``t = 1``).  Otherwise
     the ray from the vertex ``q`` through ``a`` leaves the permutahedron at
     ``x = q + t (a - q)``, on the first face where a top-``k`` sum of ``x``
     reaches ``sum(q[:k])``; Newton (Dinkelbach) steps on those sums find
-    ``t``, so ``a = x / t + (1 - 1/t) q``.  ``sums`` is ``(cumsum(q), cumsum(a))``
-    or None.  Returns ``x`` sorted by ``order`` (``a`` itself when ``t = 1``),
-    ``order``, ``k``, ``t`` and the sums for the left and right halves (or None).
+    ``t``, so ``a = x / t + (1 - 1/t) q``.  The head sums are the pair's own
+    ``cumsum``s.  Returns ``x`` sorted by ``order`` (``a`` itself when ``t = 1``),
+    ``order``, ``k`` and ``t``.
     """
     n = len(a)
-    head_q, head_x = (q.cumsum(), a.cumsum()) if sums is None else sums
+    head_q, head_x = q.cumsum(), a.cumsum()
     gap = head_x - head_q
     # A prefix within the totals' mismatch (plus roundoff) of tight counts as
     # tight; otherwise a[-1] > q[-1], so the walk below has step[-1] > 0.
     slack = abs(gap[-1]) + n * _EPS * head_q[-1]
     k = int(gap[:-1].argmax()) + 1
     if gap[k - 1] >= -slack:
-        return a, np.arange(n), k, 1.0, ((head_q[:k], head_x[:k]), None)
+        return a, np.arange(n), k, 1.0
     step = a - q
     t = (q[0] - q[-1]) / step[-1]  # where the last entry of x reaches q[0]
     while True:
@@ -161,7 +156,7 @@ def _split(a: np.ndarray, q: np.ndarray, sums: tuple | None = None) -> tuple:
         if not 1.0 < t_next < t:
             break
         t = t_next
-    return x, order, k, t, ((head_q[:k], head_x[:k]), None)
+    return x, order, k, t
 
 
 def bistochastic_link(a, q) -> np.ndarray:
@@ -171,12 +166,10 @@ def bistochastic_link(a, q) -> np.ndarray:
     :class:`InfeasibleError` otherwise.  ``D`` is the convex combination of
     at most ``d`` permutation matrices found by :func:`_permutation_terms`.
     """
-    av = _clean_vector(a)
-    qv = _clean_vector(q)
+    av, qv = _sorted_pair(a, q)
     if not compare(av, qv, "maj"):
         raise InfeasibleError("vectors are not majorization-comparable (need a < q)")
-    av, qv = _pad_pair(av, qv)
-    terms = zip(*_permutation_terms(np.sort(av)[::-1], np.sort(qv)[::-1]))
+    terms = zip(*_permutation_terms(av, qv))
     return BirkhoffDecomposition(tuple(terms), len(av)).reconstruct()
 
 

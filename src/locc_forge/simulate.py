@@ -106,24 +106,15 @@ def _check_dims(protocol: LoccProtocol, *states: BipartiteState) -> None:
 
 def _dense_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: BipartiteState):
     """Stage 1 checked on the dense stacks, all outcomes at once: the per-outcome residuals,
-    the ``U_k`` unitarity defects, ``||M_k||``, ``||M0||``, the completeness defect, the
-    intermediate state (B without a stage 2) and a bound on its error (0 here), in order."""
-    s1, da = protocol.outcomes, protocol.dims[0]
+    the ``U_k`` unitarity defects, ``||M_k||``, the Gram terms ``M_k'M_k`` and the intermediate
+    state (B without a stage 2), each of these two followed by a bound on its error (0 here)."""
+    s1 = protocol.outcomes
     m, u, root_q = s1.M, s1.U, np.sqrt(s1.q)[:, None, None]
     branches = m @ a_state.amp @ np.swapaxes(u, 1, 2)
     target = b_state.amp if protocol.stage2 is None else (root_q * branches).sum(axis=0)
     gram = np.conj(np.swapaxes(m, 1, 2)) @ m
-    acc = np.array(protocol.M0.conj().T @ protocol.M0, dtype=complex)
-    m0_norm = float(np.sqrt(_hermitian_norms(acc)))
-    for g in gram:  # in outcome order
-        acc += g
     return (opnorm(branches - root_q * target), unitarity_defect(u), np.sqrt(_hermitian_norms(gram)),
-            m0_norm, float(_hermitian_norms(acc - np.eye(da))), target, 0.0)
-
-
-def _frobenius(m: np.ndarray) -> float:
-    """Frobenius norm, an upper bound on the operator norm."""
-    return math.sqrt(np.vdot(m, m).real)
+            gram, 0.0, target, 0.0)
 
 
 def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: BipartiteState):
@@ -136,23 +127,18 @@ def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: B
     deterministic protocol), all measured here on the given states in the
     Frobenius norm, which bounds the operator norm.  Every reported residual
     is the frame term plus those terms, an upper bound on the residual of
-    the dense operators.  ``M0`` and the completeness sum stay dense:
-    ``M0'M0 + X_A diag(sum_k E_k'E_k) X_A' - I``.  Returns the seven values
-    ``_dense_stage_one`` lists, in its order, with the frame's intermediate state.
+    the dense operators.  Returns the seven values ``_dense_stage_one`` lists, in
+    its order: the Gram terms are the one ``X_A diag(sum_k E_k'E_k) X_A'``, with the
+    bound ``(1 + e_XA) e_XQ max(g)``, and the intermediate state is the frame's.
     """
     f = protocol.outcomes.frame
     a, q, scale = f.a, f.q, f.scale
-    da, db = protocol.dims
-    r, ident_a, ident_b = a.coeffs.size, np.eye(da), np.eye(db)
+    r = a.coeffs.size
     g = np.einsum("ki,ki->i", scale, scale)  # diagonal of sum_k E_k'E_k
     x_a, x_q, perms = a.left_basis[:, :r], q.left_basis[:, :r], f.perms[:, :r]
-    e_xa, e_xq = (_frobenius(x.conj().T @ x - ident_a) for x in (a.left_basis, q.left_basis))
-    e_ya, e_yq = (_frobenius(y.conj().T @ y - ident_b) for y in (a.right_basis, q.right_basis))
-    rho_a = _frobenius((x_a * a.coeffs) @ a.right_basis[:r] - a_state.amp)
-    m0_gram = protocol.M0.conj().T @ protocol.M0
-    m0_norm, completeness = _hermitian_norms(
-        np.array((m0_gram, m0_gram + (x_a * g) @ x_a.conj().T - ident_a))
-    ).tolist()
+    e_xa, e_xq, e_ya, e_yq = (math.sqrt(_norm_sq(x.conj().T @ x - np.eye(len(x))))
+                              for x in (a.left_basis, q.left_basis, a.right_basis, q.right_basis))
+    rho_a = math.sqrt(_norm_sq((x_a * a.coeffs) @ a.right_basis[:r] - a_state.amp))
 
     # Up to those terms, branch k is X_Q diag(c) Y_Q with c[perms[k, i]] = coeffs[k, i].
     root_q = np.sqrt(protocol.outcomes.q)
@@ -165,7 +151,7 @@ def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: B
     branch_err = gain * delta * e_norms
     if protocol.stage2 is None:
         target, target_slack = b_state.amp, 0.0
-        rho_b = _frobenius((x_q * q.coeffs) @ q.right_basis[:r] - b_state.amp)
+        rho_b = math.sqrt(_norm_sq((x_q * q.coeffs) @ q.right_basis[:r] - b_state.amp))
         frame_res = np.abs(coeffs - root_q[:, None] * q.coeffs[perms]).max(axis=1)
         per_outcome = gain * frame_res + branch_err + root_q * rho_b
     else:
@@ -175,8 +161,8 @@ def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: B
         frame_res = np.abs(coeffs - root_q[:, None] * mixture[perms]).max(axis=1)
         per_outcome = gain * frame_res + branch_err + root_q * target_slack
     return (per_outcome, np.full(len(root_q), e_ya + (1.0 + e_ya) * e_yq),
-            math.sqrt((1.0 + e_xq) * (1.0 + e_xa)) * e_norms, math.sqrt(m0_norm),
-            completeness + (1.0 + e_xa) * e_xq * float(g.max()), target, target_slack)
+            math.sqrt((1.0 + e_xq) * (1.0 + e_xa)) * e_norms, ((x_a * g) @ x_a.conj().T)[None],
+            (1.0 + e_xa) * e_xq * float(g.max()), target, target_slack)
 
 
 def verify(
@@ -211,19 +197,27 @@ def verify(
     and only a write through their flag-locked ``.base`` gets round that.
     Without a frame, stage 1 is checked on the stacks, with no copy: each
     branch ``M_k A U_k.T`` once, and a stage-2 protocol's intermediate state
-    as their ``sqrt(q)``-weighted sum.  ``M0`` and stage 2 are checked
-    densely either way.
+    as their ``sqrt(q)``-weighted sum.  Either path returns its Gram terms
+    (the ``M_k'M_k``, or the frame's one) with a bound on their error, and
+    ``||M0||`` and completeness come once, here, from ``M0'M0`` plus those
+    terms; stage 2 is checked densely either way.
     """
     _check_dims(protocol, a_state, b_state)
     s2 = protocol.stage2
     stage_one = _dense_stage_one if protocol.outcomes.frame is None else _frame_stage_one
-    per_outcome, u_defects, m_norms, m0_norm, completeness, target, target_slack = stage_one(
+    per_outcome, u_defects, m_norms, grams, gram_err, target, target_slack = stage_one(
         protocol, a_state, b_state
     )
-    completeness = np.maximum(completeness, abs(protocol.outcomes.q.sum() - 1.0))  # NaN propagates
+    m0_gram = protocol.M0.conj().T @ protocol.M0
+    acc = np.array(m0_gram, dtype=complex)
+    for g in grams:  # in outcome order
+        acc += g
+    acc -= np.eye(len(acc))
+    m0_norm_sq, completeness = _hermitian_norms(np.array((m0_gram, acc))).tolist()
+    completeness = np.maximum(completeness + gram_err, abs(protocol.outcomes.q.sum() - 1.0))
 
     unitarity = u_defects.tolist()
-    norms = [*m_norms.tolist(), m0_norm]
+    norms = [*m_norms.tolist(), math.sqrt(m0_norm_sq)]
 
     stage2_residual = balance = 0.0
     if s2 is not None:

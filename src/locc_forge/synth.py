@@ -110,6 +110,15 @@ def _resolve_p(p, p_max: float) -> float:
     return p
 
 
+def _request(p, p_max: float) -> float:
+    """Requested probability ``p`` (a float or ``"max"``) resolved and clamped to ``p_max``;
+    raises :class:`InfeasibleError` (carrying ``p_max``) above ``p_max + FEAS_ATOL``."""
+    p = _resolve_p(p, p_max)
+    if p > p_max + FEAS_ATOL:
+        raise InfeasibleError(f"requested probability {p} exceeds the maximum {p_max}", p_max=p_max)
+    return min(p, p_max)
+
+
 def feasibility(a_state: BipartiteState, b_state: BipartiteState, p="max") -> FeasibilityReport:
     """Full feasibility report for A -> B at probability ``p`` (or ``"max"``).
 
@@ -142,27 +151,20 @@ def _intermediate(b: np.ndarray, p: float) -> np.ndarray:
     return v
 
 
-def intermediate_vector(a, b, p: float) -> np.ndarray:
+def intermediate_vector(a, b, p) -> np.ndarray:
     """Spectrum of the intermediate state splitting a probabilistic protocol.
 
-    For squared Schmidt vectors ``a`` (source) and ``b`` (target) with
-    ``p <= p_max``, returns ``v = (p*b1 + (1-p), p*b2, ..., p*bd)``.  This v
-    sums to one, dominates ``p*b`` componentwise, is non-increasing, and
+    For squared Schmidt vectors ``a`` (source) and ``b`` (target), returns
+    ``v = (p*b1 + (1-p), p*b2, ..., p*bd)``, with ``p`` (a float or ``"max"``)
+    resolved, refused and clamped to ``p_max`` as in :func:`synthesize`.  This
+    v sums to one, dominates ``p*b`` componentwise, is non-increasing, and
     majorizes ``a``, so A -> V is reachable deterministically and V -> B by a
     single filtering contraction of success weight p.
     """
-    av = np.sort(majorize._clean_vector(a))[::-1]
-    bv = np.sort(majorize._clean_vector(b))[::-1]
-    av, bv = majorize._pad_pair(av, bv)
+    av, bv = majorize._sorted_pair(a, b)
     if abs(av.sum() - 1.0) > NORM_ATOL or abs(bv.sum() - 1.0) > NORM_ATOL:
         raise InvalidInputError("squared Schmidt vectors must sum to 1")
-    p = float(p)
-    p_max = _pmax_from_spectra(av, bv)
-    if p > p_max + FEAS_ATOL:
-        raise InfeasibleError(
-            f"requested probability {p} exceeds the maximum {p_max}", p_max=p_max
-        )
-    return _intermediate(bv, p)
+    return _intermediate(bv, _request(p, _pmax_from_spectra(av, bv)))
 
 
 def uhlmann_decompose(c, d) -> list[tuple[float, np.ndarray]]:
@@ -413,14 +415,7 @@ def synthesize(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Loc
     is omitted.  Raises :class:`InfeasibleError` (carrying ``p_max``) when
     the request is out of reach.
     """
-    p_max = max_probability(a_state, b_state)
-    p_num = _resolve_p(p, p_max)
-    if p_num > p_max + FEAS_ATOL:
-        raise InfeasibleError(
-            f"requested probability {p_num} exceeds the maximum {p_max}", p_max=p_max
-        )
-    p_num = min(p_num, p_max)
-
+    p_num = _request(p, max_probability(a_state, b_state))
     fb = schmidt(b_state)
     fq = fb if p_num == 1.0 else SchmidtForm(
         fb.left_basis, frozen(np.sqrt(_intermediate(fb.coeffs**2, p_num))), fb.right_basis)

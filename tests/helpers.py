@@ -98,3 +98,20 @@ def reproducer_pairs(count=400):
         a = np.sort(rng.dirichlet(0.1 * np.ones(d)))[::-1]
         b = np.sort(rng.dirichlet(0.1 * np.ones(d)))[::-1]
         yield state_with_spectrum(a, d, d, rng), state_with_spectrum(b, d, d, rng)
+
+
+def sweep_pairs(count=300):
+    """Seed-2027 pairs at d = 9..24 with Dirichlet(0.05) or (0.1) spectra, on
+    square, wide and tall shapes; every fourth pair is deterministic (its
+    source spectrum a bistochastic mix of the target's)."""
+    rng = np.random.default_rng(2027)
+    for i in range(count):
+        d = int(rng.integers(9, 25))
+        alpha = (0.05, 0.1)[i % 2]
+        da, db = [(d, d), (d, d + 2), (d + 2, d)][i % 3]
+        b = np.sort(rng.dirichlet(alpha * np.ones(d)))[::-1]
+        if i % 4 == 3:
+            a = np.sort(random_bistochastic(d, rng) @ b)[::-1]
+        else:
+            a = np.sort(rng.dirichlet(alpha * np.ones(d)))[::-1]
+        yield state_with_spectrum(a, da, db, rng), state_with_spectrum(b, da, db, rng)

@@ -28,6 +28,7 @@ from helpers import (
     random_state,
     reproducer_pairs,
     state_with_spectrum,
+    sweep_pairs,
     with_outcome0,
     with_stage2,
 )
@@ -296,9 +297,17 @@ def _verify_cases():
     sa = state_with_spectrum(np.array([0.6, 0.3, 0.1, 0.0]), 4, 4, rng)
     sb = state_with_spectrum(np.array([0.4, 0.3, 0.2, 0.1]), 4, 4, rng)
     cases["rank-deficient"] = (synthesize(sa, sb, "max"), sa, sb)
-    for base in ("square-deterministic", "square-stage2"):
+    # A U swap needs two outcomes with distinct U, which a p_max/2 protocol
+    # need not have, so the stage-2 swap takes a seeded "max" one asserted to.
+    a, b = (np.sort(rng_k.dirichlet(np.ones(5)))[::-1] for _ in range(2))
+    sa, sb = state_with_spectrum(a, 5, 5, rng_k), state_with_spectrum(b, 5, 5, rng_k)
+    swap_bases = {"square-deterministic": cases["square-deterministic"],
+                  "square-stage2": (synthesize(sa, sb, "max"), sa, sb)}
+    for base, (proto, sa, sb) in swap_bases.items():
+        assert len(proto.outcomes) >= 2 and not np.allclose(*proto.outcomes.U[:2]), base
+        cases[f"{base}-U-swapped"] = (_corrupted(proto, "U-swapped"), sa, sb)
         proto, sa, sb = cases[base]
-        for how in ("M-scaled", "U-nudged", "U-swapped"):
+        for how in ("M-scaled", "U-nudged"):
             cases[f"{base}-{how}"] = (_corrupted(proto, how), sa, sb)
     return cases
 
@@ -351,6 +360,21 @@ def test_verify_matches_svd_reference_on_contract_reproducer():
     # Ratchet on the synthesize => verify contract: 2 draws still fail (88
     # and 327), both with a source Schmidt coefficient squared below 6e-14.
     assert failures <= 2
+
+
+def test_contract_on_the_wide_sweep():
+    # ROADMAP item 3's Tier-1 sweep: synthesize at "max" and at p_max/2 on
+    # 300 seeded pairs at d = 9..24 (none with p_max = 0 is requested), then
+    # verify.  Ratchet on the synthesize => verify contract, per request kind.
+    failures = {"max": 0, "half": 0}
+    for sa, sb in sweep_pairs():
+        p_max = max_probability(sa, sb)
+        if p_max == 0.0:
+            continue
+        for kind, p in (("max", "max"), ("half", p_max / 2)):
+            failures[kind] += not verify(synthesize(sa, sb, p), sa, sb).passed
+    assert failures["max"] <= 34
+    assert failures["half"] <= 73
 
 
 def test_verify_rejects_a_stage_two_that_breaks_only_the_balance():

@@ -229,6 +229,31 @@ def test_intermediate_vector_rejects_excess_p():
         intermediate_vector([0.8, 0.2], [0.5, 0.5], 0.5)
 
 
+@pytest.mark.parametrize("bad", [-0.5, math.nan, 1.5, "half"])
+def test_intermediate_vector_checks_its_request_as_synthesize_does(bad):
+    a, b = [0.5, 0.3, 0.2], [0.6, 0.3, 0.1]
+    with pytest.raises(InvalidInputError):
+        intermediate_vector(a, b, bad)
+    with pytest.raises(InvalidInputError):
+        synthesize(from_schmidt(a, 3, 3), from_schmidt(b, 3, 3), bad)
+
+
+def test_intermediate_vector_resolves_max_and_clamps_to_p_max():
+    # A request up to FEAS_ATOL above p_max is accepted and clamped, as in
+    # synthesize, so the vector still majorizes a and stage 1 can be built.
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        d = int(rng.integers(2, 7))
+        a, b = random_spectrum(d, rng), random_spectrum(d, rng)
+        p_max = synth._pmax_from_spectra(a, b)
+        v = intermediate_vector(a, b, p_max)
+        assert np.array_equal(intermediate_vector(a, b, "max"), v)
+        if p_max + synth.FEAS_ATOL / 2 > 1.0:
+            continue
+        assert np.array_equal(intermediate_vector(a, b, p_max + synth.FEAS_ATOL / 2), v)
+        deterministic_stage(from_schmidt(a, d, d), from_schmidt(v, d, d))
+
+
 # ---------------------------------------------------------------------------
 # uhlmann_decompose
 # ---------------------------------------------------------------------------
