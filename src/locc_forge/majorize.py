@@ -62,9 +62,12 @@ def compare(x, y, relation: str, tol: float = SUM_TOL) -> bool:
     """
     if relation not in _RELATIONS:
         raise InvalidInputError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
-    xs, ys = _sorted_pair(x, y)
-    hx = np.cumsum(xs)
-    hy = np.cumsum(ys)
+    return _holds(*_sorted_pair(x, y), relation, tol)
+
+
+def _holds(xs: np.ndarray, ys: np.ndarray, relation: str, tol: float = SUM_TOL) -> bool:
+    """:func:`compare`'s test on vectors already cleaned, padded and sorted (``_sorted_pair``)."""
+    hx, hy = np.cumsum(xs), np.cumsum(ys)
     if relation == "sub":
         return bool(np.all(hx <= hy + tol))
     if relation == "maj":
@@ -162,12 +165,12 @@ def _split(a: np.ndarray, q: np.ndarray) -> tuple:
 def bistochastic_link(a, q) -> np.ndarray:
     """Bistochastic matrix ``D`` with ``D @ sort_desc(q) == sort_desc(a)``.
 
-    Requires ``a < q`` (checked with :func:`compare`); raises
-    :class:`InfeasibleError` otherwise.  ``D`` is the convex combination of
-    at most ``d`` permutation matrices found by :func:`_permutation_terms`.
+    Requires ``a < q`` (:func:`compare`'s test on the pair, normalised once);
+    raises :class:`InfeasibleError` otherwise.  ``D`` is the convex combination
+    of at most ``d`` permutation matrices found by :func:`_permutation_terms`.
     """
     av, qv = _sorted_pair(a, q)
-    if not compare(av, qv, "maj"):
+    if not _holds(av, qv, "maj"):
         raise InfeasibleError("vectors are not majorization-comparable (need a < q)")
     terms = zip(*_permutation_terms(av, qv))
     return BirkhoffDecomposition(tuple(terms), len(av)).reconstruct()

@@ -47,21 +47,19 @@ FEAS_ATOL = 1e-9
 # feasibility
 # ---------------------------------------------------------------------------
 
-def _tail_sums(x: np.ndarray) -> np.ndarray:
-    """tails[k] = x[k] + x[k+1] + ... for a decreasingly sorted x."""
-    return np.cumsum(x[::-1])[::-1]
+def _least_ratio(x: np.ndarray, y: np.ndarray, n: int) -> float:
+    """Largest ``p <= 1`` with ``p * y[k] <= x[k]`` for every ``k < n``: the least
+    ratio ``x[k] / y[k]``, clamped to 1.  Every bound on a requested ``p`` is one."""
+    return min(1.0, (x[:n] / y[:n]).min())
 
 
 def _pmax_from_spectra(a, b) -> float:
-    """Largest p with spectrum(A) weakly supermajorized by p * spectrum(B).
-
-    For non-increasing a, b of one length: the least tail-sum ratio E_k(a) / E_k(b)
-    over the first rank(B) tails, clamped to [0, 1]; 0 exactly when rank(A) < rank(B).
-    """
+    """Largest p with spectrum(A) weakly supermajorized by p * spectrum(B): for non-increasing
+    a, b of one length, the least ratio of the first rank(B) tail sums; 0 iff rank(A) < rank(B)."""
     rank_b = _spectral_rank(b)
     if _spectral_rank(a) < rank_b:
         return 0.0
-    p = (_tail_sums(a)[:rank_b] / _tail_sums(b)[:rank_b]).min()
+    p = _least_ratio(*(np.cumsum(x[::-1])[::-1] for x in (a, b)), rank_b)
     # Ratios pinned to 1 by rounding crumbs mean a deterministic pair.
     return 1.0 if p > 1.0 - 1e-12 else p
 
@@ -110,31 +108,32 @@ def _resolve_p(p, p_max: float) -> float:
     return p
 
 
-def _request(p, p_max: float) -> float:
-    """Requested probability ``p`` (a float or ``"max"``) resolved and clamped to ``p_max``;
-    raises :class:`InfeasibleError` (carrying ``p_max``) above ``p_max + FEAS_ATOL``."""
-    p = _resolve_p(p, p_max)
-    if p > p_max + FEAS_ATOL:
-        raise InfeasibleError(f"requested probability {p} exceeds the maximum {p_max}", p_max=p_max)
-    return min(p, p_max)
+def _request(p, bound: float) -> float:
+    """Requested ``p`` (a float or ``"max"``, which is ``bound``) resolved and clamped to
+    ``bound``; raises :class:`InfeasibleError` (``p_max`` is ``bound``) above ``bound + FEAS_ATOL``."""
+    p = _resolve_p(p, bound)
+    if p > bound + FEAS_ATOL:
+        raise InfeasibleError(f"requested probability {p} exceeds the maximum {bound}", p_max=bound)
+    return min(p, bound)
 
 
 def feasibility(a_state: BipartiteState, b_state: BipartiteState, p="max") -> FeasibilityReport:
     """Full feasibility report for A -> B at probability ``p`` (or ``"max"``).
 
-    Infeasibility is reported, never raised.
+    Infeasibility is reported, never raised: each verdict at ``p`` is ``p <= bound + FEAS_ATOL``,
+    the bound ``p_max`` or the least head-sum ratio (the largest p with ``p * b <_w a``).
     """
     p_max = max_probability(a_state, b_state)
     p_num = _resolve_p(p, p_max)
-    a = squared_spectrum(a_state)
-    b = squared_spectrum(b_state)
+    a, b = squared_spectrum(a_state), squared_spectrum(b_state)
+    p_contract = _least_ratio(np.cumsum(a), np.cumsum(b), b.size)
     return FeasibilityReport(
         p_requested=p if isinstance(p, str) else float(p),
         p_max=p_max,
         deterministic_ok=bool(p_max == 1.0),
         rank_ok=bool(p_max > 0.0),
         super_maj_ok_at_p=bool(p_num <= p_max + FEAS_ATOL),
-        pure_necessary_ok_at_p=majorize.compare(p_num * b, a, "sub"),
+        pure_necessary_ok_at_p=bool(p_num <= p_contract + FEAS_ATOL),
         schmidt_sq_a=a,
         schmidt_sq_b=b,
     )
@@ -371,39 +370,36 @@ def deterministic_stage(
 ) -> tuple[list[StageOneOutcome], np.ndarray]:
     """Complete measurement carrying ``|A>>`` onto ``|Q>>`` with certainty.
 
-    Requires spectrum(A) majorized by spectrum(Q).  Every outcome satisfies
-    ``(M (x) U) |A>> = sqrt(q) |Q>>`` and the contractions resolve the
-    projector onto the range of A; ``M0`` completes the measurement on the
-    orthogonal complement, where the source state has no amplitude.
+    Raises :class:`InfeasibleError`, its ``p_max`` the maximum, unless
+    ``max_probability(A, Q) == 1`` (``deterministic_ok``).  Every outcome
+    satisfies ``(M (x) U) |A>> = sqrt(q) |Q>>`` and the contractions resolve
+    the projector onto the range of A; ``M0`` completes the measurement on
+    the orthogonal complement, where the source state has no amplitude.
     """
-    if a_state.dims != q_state.dims:
-        raise InvalidInputError(f"dimension mismatch: {a_state.dims} vs {q_state.dims}")
-    fa = schmidt(a_state)
-    fq = schmidt(q_state)
-    if not majorize.compare(fa.coeffs**2, fq.coeffs**2, "maj"):
-        raise InfeasibleError("spectrum(A) is not majorized by spectrum(Q)")
-    outcomes, m0 = _stage_one(fa, fq)
+    p_max = max_probability(a_state, q_state)
+    if p_max < 1.0:
+        raise InfeasibleError("spectrum(A) is not majorized by spectrum(Q)", p_max=p_max)
+    outcomes, m0 = _stage_one(schmidt(a_state), schmidt(q_state))
     return list(outcomes), m0
 
 
 def final_contraction(
-    q_state: BipartiteState, b_state: BipartiteState, p: float
+    q_state: BipartiteState, b_state: BipartiteState, p
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single filtering step mapping ``|Q>>`` to ``|B>>`` with weight ``p``.
 
     Returns ``(N, V, N_fail)`` with ``N @ amp_Q @ V.T == sqrt(p) * amp_B``,
     ``||N|| <= 1`` and ``N_fail`` the principal square root of ``I - N'N``.
-    Requires the componentwise bound spectrum(Q) >= p * spectrum(B) on the
-    sorted spectra, which caps every singular value of N at one.
+    ``p`` (a float or ``"max"``) is resolved, refused and clamped as in
+    :func:`synthesize` against the largest p that keeps N a contraction, the
+    least ratio ``sigma_Q,i**2 / sigma_B,i**2`` over ``i < rank(B)``, at most 1,
+    which ``InfeasibleError.p_max`` carries.
     """
     if q_state.dims != b_state.dims:
         raise InvalidInputError(f"dimension mismatch: {q_state.dims} vs {b_state.dims}")
-    p = _resolve_p(float(p), 1.0)
-    fq = schmidt(q_state)
-    fb = schmidt(b_state)
-    if np.min(fq.coeffs**2 - p * fb.coeffs**2) < -FEAS_ATOL:
-        raise InfeasibleError("spectrum(Q) does not dominate p * spectrum(B) componentwise")
-    return _stage_two(fq, fb, p)
+    fq, fb = schmidt(q_state), schmidt(b_state)
+    b = fb.coeffs**2
+    return _stage_two(fq, fb, _request(p, _least_ratio(fq.coeffs**2, b, _spectral_rank(b))))
 
 
 def synthesize(a_state: BipartiteState, b_state: BipartiteState, p="max") -> LoccProtocol:

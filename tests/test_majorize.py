@@ -307,8 +307,8 @@ def _merge_halves(w_l, p_l, w_r, p_r, order, k, t):
 
 
 def _reference_split(a, q):
-    """``majorize._split`` with every head sum taken afresh, as it was before
-    the splits handed their sums down: the reference for the bit-for-bit test."""
+    """``majorize._split`` written out separately, each head sum a fresh
+    ``np.cumsum``: the reference for the bit-for-bit test."""
     n = len(a)
     head_q = np.cumsum(q)
     gap = np.cumsum(a) - head_q
@@ -331,7 +331,7 @@ def _reference_split(a, q):
 
 def _reference_permutation_terms(a, q):
     """``majorize._permutation_terms`` on ``_reference_split``: the same stack
-    of pending pairs and the same sweep, with no sums handed down."""
+    of pending pairs and the same sweep over the breakpoints."""
     n = len(a)
     pending = [(a, q, np.arange(n), 0, 0.0, 1.0)]
     breaks, moves = [], []
@@ -413,10 +413,11 @@ def test_permutation_terms_match_merged_reference_on_tied_chains():
 
 
 def test_permutation_terms_equal_fresh_sum_reference_bit_for_bit(monkeypatch):
-    # Handing a split's head sums down to its left half changes no bit: a
-    # 1-D cumsum adds in order, so a prefix of it equals the cumsum of the
-    # prefix.  Same families and seeds as the merged-reference tests, and
-    # every pair that synthesize(A, B, "max") decomposes on the reproducer.
+    # The decomposition equals, bit for bit, a separate transcription of the
+    # same splits and sweep, so a rewrite of either moves no bit of any
+    # stage-1 operator.  Same families and seeds as the merged-reference
+    # tests, and every pair that synthesize(A, B, "max") decomposes on the
+    # reproducer.
     rng, chains = np.random.default_rng(23), np.random.default_rng(24)
     cases = [_link_spectrum(kind, d, rng)
              for kind in ("dense", "sparse", "tied", "rank-drop") for d in range(1, 33)]

@@ -169,6 +169,17 @@ def test_feasibility_invariants():
             assert abs(rep.p_max - 1.0) <= 1e-10
         if rep.p_max > 0.0:
             assert rep.rank_ok
+        # pure_necessary_ok_at_p is p <= p_contract + FEAS_ATOL, p_contract the
+        # least head-sum ratio; it differs from the absolute head-sum test only
+        # inside that slack.
+        sa, sb = squared_spectrum(a), squared_spectrum(b)
+        p_contract = min(1.0, float(np.min(np.cumsum(sa) / np.cumsum(sb))))
+        for dp in (-1e3, 0.0, 0.1, 0.5, 1.0, 2.0, 1e3):
+            p = min(1.0, max(0.0, p_contract + dp * synth.FEAS_ATOL))
+            verdict = feasibility(a, b, p).pure_necessary_ok_at_p
+            assert verdict == (p <= p_contract + synth.FEAS_ATOL), (p, p_contract)
+            if verdict != majorize.compare(p * sb, sa, "sub"):
+                assert p_contract < p <= p_contract + synth.FEAS_ATOL, (p, p_contract)
 
 
 def test_feasibility_dimension_mismatch():
@@ -385,6 +396,35 @@ def test_final_contraction_saturates_at_pmax():
 def test_final_contraction_rejects_violated_bound():
     with pytest.raises(InfeasibleError):
         final_contraction(BELL, SKEW, 0.9)
+    # The bound is the least ratio sigma_Q**2 / sigma_B**2 over rank(B), at
+    # most 1: "max" is the bound, a request within FEAS_ATOL of it is clamped
+    # to it, one above is refused with the bound as p_max, and no N returned
+    # is more than a contraction.  Sparse spectra have squared coefficients
+    # far below FEAS_ATOL, which an absolute entry test lets through.
+    rng = np.random.default_rng(5)
+    for i in range(600):
+        d, alpha = int(rng.integers(2, 9)), (0.05, 0.3, 1.0)[i % 3]
+        v_spec, b_spec = (np.sort(rng.dirichlet(alpha * np.ones(d)))[::-1] for _ in range(2))
+        q = state_with_spectrum(v_spec, d, d, rng)
+        b = state_with_spectrum(b_spec, d, d, rng)
+        sq, sb = squared_spectrum(q), squared_spectrum(b)
+        r = schmidt_rank(b)
+        bound = min(1.0, float(np.min(sq[:r] / sb[:r])))
+        n_max, v_max, _ = final_contraction(q, b, "max")
+        assert opnorm(n_max) - 1.0 <= 1e-12
+        assert opnorm(n_max @ q.amp @ v_max.T - np.sqrt(bound) * b.amp) <= 1e-9
+        if bound + synth.FEAS_ATOL / 2 <= 1.0:
+            n, _, _ = final_contraction(q, b, bound + synth.FEAS_ATOL / 2)
+            assert np.array_equal(n, n_max)
+        for p in (bound + 2 * synth.FEAS_ATOL, bound + 1e-6, 1.5 * bound, 10 * bound):
+            if p > 1.0:
+                continue
+            if p > bound + synth.FEAS_ATOL:
+                with pytest.raises(InfeasibleError) as info:
+                    final_contraction(q, b, p)
+                assert info.value.p_max == pytest.approx(bound, rel=1e-15, abs=0.0)
+            else:
+                assert opnorm(final_contraction(q, b, p)[0]) - 1.0 <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +640,39 @@ def test_pmax_on_tiny_schmidt_tails(a_spec, b_spec, p_max):
         synthesize(a, b, 0.5)
 
 
+def near_tie_pairs(seed, count):
+    """Square pairs at d = 2..8 with Dirichlet(0.05), (0.3) or (1) spectra; every
+    fourth source a mix of three permutations of the target, so that many
+    pairs sit on or within rounding of the deterministic boundary."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d, alpha = int(rng.integers(2, 9)), (0.05, 0.3, 1.0)[i % 3]
+        b = np.sort(rng.dirichlet(alpha * np.ones(d)))[::-1]
+        if i % 4 == 3:
+            a = np.sort(rng.dirichlet(np.ones(3)) @ b[[rng.permutation(d) for _ in range(3)]])[::-1]
+        else:
+            a = np.sort(rng.dirichlet(alpha * np.ones(d)))[::-1]
+        yield state_with_spectrum(a, d, d, rng), state_with_spectrum(b, d, d, rng)
+
+
 def test_deterministic_ok_iff_one_stage():
     # deterministic_ok is p_max == 1, so it never contradicts p_max, and a
-    # "max" protocol has a stage 2 exactly when it is False.
-    for a, b in itertools.chain(seeded_pairs(62, 300), reproducer_pairs(100)):
+    # "max" protocol has a stage 2, and deterministic_stage refuses (with
+    # p_max), exactly when it is False.  The first pair's head sums differ by
+    # 5e-11, inside compare's SUM_TOL, but its p_max is 1 - 1.25e-10.
+    near_tie = (from_schmidt([0.6 + 5e-11, 0.4 - 5e-11], 2, 2), from_schmidt([0.6, 0.4], 2, 2))
+    pairs = itertools.chain([near_tie], seeded_pairs(62, 300), reproducer_pairs(100),
+                            near_tie_pairs(77, 600))
+    for a, b in pairs:
         report = feasibility(a, b)
         assert report.deterministic_ok == (report.p_max == 1.0)
         assert report.deterministic_ok == (synthesize(a, b, "max").stage2 is None)
+        if report.deterministic_ok:
+            deterministic_stage(a, b)
+        else:
+            with pytest.raises(InfeasibleError) as info:
+                deterministic_stage(a, b)
+            assert info.value.p_max == report.p_max
 
 
 def _rectangular_protocol():
