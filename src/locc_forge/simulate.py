@@ -3,14 +3,15 @@
 ``verify`` recomputes every defining identity of a protocol and reports
 the residuals; a NaN residual fails it.  ``LoccProtocol`` checks the
 operator shapes and weights when it is built, so nothing here checks them
-again.  ``verify`` takes every operator norm from the Hermitian
-eigenvalues of a Gram matrix (or of a defect that is Hermitian already,
-``numkit.opnorm``), never from an SVD, and decomposes no intermediate
-state.  Stage 1 is one value, ``protocol.outcomes``: with a Schmidt frame (a
-protocol from ``synthesize``) it is checked there in O(d^3 + K d), each
-residual an upper bound on the dense one (see ``_frame_stage_one``);
-without one, on its dense stacks, all K outcomes at once.  ``M0`` and
-stage 2 are checked densely either way.
+again.  A protocol whose ``outcomes`` carry a Schmidt frame (one from
+``synthesize``, still holding the ``M0`` and stage 2 built with it) is
+checked wholly in the frame in O(d^3 + K d), with no eigensolve, each
+residual an upper bound on the dense one (``_frame_stage_one``,
+``_frame_stage_two``).  Any other protocol is checked on its dense
+operators, all K outcomes at once, every operator norm taken from the
+Hermitian eigenvalues of a Gram matrix (or of a defect that is Hermitian
+already, ``numkit.opnorm``), never from an SVD.  Neither path decomposes
+the intermediate state.
 
 ``run_once``/``estimate`` execute the protocol as a sampled measurement with
 classical communication.  Outcome probabilities are always recomputed from
@@ -105,40 +106,86 @@ def _check_dims(protocol: LoccProtocol, *states: BipartiteState) -> None:
 
 
 def _dense_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: BipartiteState):
-    """Stage 1 checked on the dense stacks, all outcomes at once: the per-outcome residuals,
-    the ``U_k`` unitarity defects, ``||M_k||``, the Gram terms ``M_k'M_k`` and the intermediate
-    state (B without a stage 2), each of these two followed by a bound on its error (0 here)."""
+    """Stage 1 and its completion ``M0`` checked on the dense operators, all outcomes at once:
+    the per-outcome residuals, the ``U_k`` unitarity defects, the norms ``||M_k||`` then
+    ``||M0||``, the completeness defect, and the intermediate state (B without a stage 2),
+    which only ``_dense_stage_two`` reads.  ``||M0||`` and completeness come from one
+    batched eigensolve of ``M0'M0`` and of ``M0'M0 + sum M_k'M_k - I``, summed in outcome order."""
     s1 = protocol.outcomes
     m, u, root_q = s1.M, s1.U, np.sqrt(s1.q)[:, None, None]
     branches = m @ a_state.amp @ np.swapaxes(u, 1, 2)
     target = b_state.amp if protocol.stage2 is None else (root_q * branches).sum(axis=0)
-    gram = np.conj(np.swapaxes(m, 1, 2)) @ m
-    return (opnorm(branches - root_q * target), unitarity_defect(u), np.sqrt(_hermitian_norms(gram)),
-            gram, 0.0, target, 0.0)
+    grams = np.conj(np.swapaxes(m, 1, 2)) @ m
+    m0_gram = protocol.M0.conj().T @ protocol.M0
+    acc = np.array(m0_gram, dtype=complex)
+    for g in grams:  # in outcome order
+        acc += g
+    acc -= np.eye(len(acc))
+    m0_norm_sq, completeness = _hermitian_norms(np.array((m0_gram, acc))).tolist()
+    norms = np.append(np.sqrt(_hermitian_norms(grams)), math.sqrt(m0_norm_sq))
+    return opnorm(branches - root_q * target), unitarity_defect(u), norms, completeness, target
+
+
+def _dense_stage_two(protocol: LoccProtocol, b_state: BipartiteState, target: np.ndarray):
+    """Stage 2 checked on its dense operators against the intermediate state ``target``:
+    the larger of the map and instrument-completion defects, ``V``'s unitarity defect,
+    ``||N||`` and the flow balance.  The balance decomposes no ``T``: ``S.T a`` is the
+    squared row norms of ``X_B' N T / ||T||``, and ``||N||^2 - 1`` bounds the row and
+    column sums of ``S`` (``inf`` if ``T = 0``)."""
+    s2 = protocol.stage2
+    v_defect = unitarity_defect(s2.V)
+    n_norm = opnorm(s2.N)
+    map_defect = opnorm(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp)
+    completion = s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - np.eye(len(s2.N))
+    norm_t = float(np.linalg.norm(target))
+    balance = float("inf")
+    if norm_t > 0:
+        fb = schmidt(b_state)
+        flow = (np.abs(fb.left_basis.conj().T @ s2.N @ (target / norm_t)) ** 2).sum(axis=1)
+        flow[: fb.coeffs.size] -= s2.p * fb.coeffs**2
+        balance = np.maximum(np.abs(flow).max(), n_norm**2 - 1.0)
+    return np.maximum(map_defect, _hermitian_norms(completion)), v_defect, n_norm, balance
+
+
+def _basis_defect(x: np.ndarray) -> float:
+    """``||X'X - I||`` in the Frobenius norm, which bounds the operator norm."""
+    return math.sqrt(_norm_sq(x.conj().T @ x - np.eye(len(x))))
+
+
+def _rebuild_defect(form, amp: np.ndarray) -> float:
+    """``||amp - X S Y||`` in the Frobenius norm for the Schmidt form ``X S Y`` of a state."""
+    r = form.coeffs.size
+    return math.sqrt(_norm_sq((form.left_basis[:, :r] * form.coeffs) @ form.right_basis[:r] - amp))
 
 
 def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: BipartiteState):
-    """Stage 1 checked in the Schmidt frame: O(d^3) once, then O(d) per outcome.
+    """Stage 1 and ``M0`` checked in the Schmidt frame: O(d^3) once, then O(d) per outcome.
 
-    With ``M_k = X_Q E_k X_A'``, ``U_k^T = Y_A' P_k' Y_Q`` and ``A = X_A S_A Y_A``,
+    With ``M_k = X_Q E_k X_A'``, ``U_k^T = Y_A' P_k' Y_Q``, ``M0 = X_N X_N'`` (``X_N``
+    A's left Schmidt vectors that no ``M_k`` reads) and ``A = X_A S_A Y_A``,
     each identity is a diagonal one in the frame plus terms that vanish with
     the basis defects ``e = ||X'X - I||`` and the reconstruction residual
     ``rho = ||A - X_A S_A Y_A||`` (and ``rho_B`` for B, the target of a
     deterministic protocol), all measured here on the given states in the
     Frobenius norm, which bounds the operator norm.  Every reported residual
     is the frame term plus those terms, an upper bound on the residual of
-    the dense operators.  Returns the seven values ``_dense_stage_one`` lists, in
-    its order: the Gram terms are the one ``X_A diag(sum_k E_k'E_k) X_A'``, with the
-    bound ``(1 + e_XA) e_XQ max(g)``, and the intermediate state is the frame's.
+    the dense operators.  Returns the five values ``_dense_stage_one`` lists, in
+    its order; the intermediate state is the frame's diagonal ``mixture`` with a
+    bound on its distance from the dense one and the defects of Q's bases (B's),
+    which only ``_frame_stage_two`` reads.  Completeness is ``X_A diag(h) X_A' - I``,
+    ``h`` the diagonal of ``sum_k E_k'E_k`` plus 1 on ``M0``'s coordinates, up to
+    ``(1 + e_XA) e_XQ max(g)`` from the ``M_k`` and ``(1 + e_XA) e_XA`` from ``M0``.
     """
     f = protocol.outcomes.frame
     a, q, scale = f.a, f.q, f.scale
     r = a.coeffs.size
-    g = np.einsum("ki,ki->i", scale, scale)  # diagonal of sum_k E_k'E_k
-    x_a, x_q, perms = a.left_basis[:, :r], q.left_basis[:, :r], f.perms[:, :r]
-    e_xa, e_xq, e_ya, e_yq = (math.sqrt(_norm_sq(x.conj().T @ x - np.eye(len(x))))
-                              for x in (a.left_basis, q.left_basis, a.right_basis, q.right_basis))
-    rho_a = math.sqrt(_norm_sq((x_a * a.coeffs) @ a.right_basis[:r] - a_state.amp))
+    # Diagonal of sum_k E_k'E_k: g_i = sum_k w_k q[perms[k, i]] / s_i, which is 1 up to
+    # roundoff where the mixture s_i > 0 and exactly 0 where M0 projects.
+    g = np.einsum("ki,ki->i", scale, scale)
+    perms = f.perms[:, :r]
+    e_xa, e_xq, e_ya, e_yq = map(_basis_defect, (a.left_basis, q.left_basis,
+                                                 a.right_basis, q.right_basis))
+    rho_a = _rebuild_defect(a, a_state.amp)
 
     # Up to those terms, branch k is X_Q diag(c) Y_Q with c[perms[k, i]] = coeffs[k, i].
     root_q = np.sqrt(protocol.outcomes.q)
@@ -150,19 +197,74 @@ def _frame_stage_one(protocol: LoccProtocol, a_state: BipartiteState, b_state: B
              + math.sqrt((1.0 + e_xa) * (1.0 + e_ya)) * rho_a)
     branch_err = gain * delta * e_norms
     if protocol.stage2 is None:
-        target, target_slack = b_state.amp, 0.0
-        rho_b = math.sqrt(_norm_sq((x_q * q.coeffs) @ q.right_basis[:r] - b_state.amp))
+        rho_b = _rebuild_defect(q, b_state.amp)
         frame_res = np.abs(coeffs - root_q[:, None] * q.coeffs[perms]).max(axis=1)
         per_outcome = gain * frame_res + branch_err + root_q * rho_b
+        intermediate = None
     else:
         mixture = np.bincount(perms.ravel(), (root_q[:, None] * coeffs).ravel(), r)
-        target = (x_q * mixture) @ q.right_basis[:r]
         target_slack = float(root_q @ branch_err)
         frame_res = np.abs(coeffs - root_q[:, None] * mixture[perms]).max(axis=1)
         per_outcome = gain * frame_res + branch_err + root_q * target_slack
-    return (per_outcome, np.full(len(root_q), e_ya + (1.0 + e_ya) * e_yq),
-            math.sqrt((1.0 + e_xq) * (1.0 + e_xa)) * e_norms, ((x_a * g) @ x_a.conj().T)[None],
-            (1.0 + e_xa) * e_xq * float(g.max()), target, target_slack)
+        intermediate = (mixture, target_slack, e_xq, e_yq)
+    null = np.ones(len(a.left_basis), dtype=bool)
+    null[:r] = g == 0.0
+    has_m0 = bool(null.any())
+    h = null.astype(float)  # diagonal of M0'M0 + sum_k M_k'M_k in the frame
+    h[:r] += g
+    # ||M0'M0 - X_N X_N'|| <= (1 + e_XA) e_XA and ||M0|| <= 1 + e_XA
+    completeness = (1.0 + e_xa) * (np.abs(h - 1.0).max() + e_xq * float(g.max())
+                                   + e_xa * has_m0) + e_xa
+    norms = np.append(math.sqrt((1.0 + e_xq) * (1.0 + e_xa)) * e_norms, (1.0 + e_xa) * has_m0)
+    return (per_outcome, np.full(len(root_q), e_ya + (1.0 + e_ya) * e_yq), norms, completeness,
+            intermediate)
+
+
+def _frame_stage_two(protocol: LoccProtocol, b_state: BipartiteState, intermediate):
+    """Stage 2 checked in the frame, with no eigensolve.
+
+    With ``N = X_B diag(n) X_Q'``, ``N_fail = X_Q diag(fail) X_Q'``, ``V = (Y_Q'Y_B)^T``
+    (Q shares B's bases, so ``e_XB = e_XQ`` and ``V`` is the identity up to
+    ``e_YB``) and the frame's intermediate ``X_Q diag(mixture) Y_Q``, each
+    identity is a diagonal one plus terms in those defects, ``rho_B = ||B - X_B S_B
+    Y_B||`` on the given B and the bound ``slack`` on the distance of the dense
+    intermediate state from the frame's.  Returns the four values
+    ``_dense_stage_two`` lists, in its order, each an upper bound on the dense one;
+    the flow balance is taken in the frame's B basis, which is ``schmidt(b_state)``
+    on the state the protocol was built for (another B shows in ``rho_B``).
+    """
+    f = protocol.outcomes.frame
+    mixture, slack, e_x, e_y = intermediate
+    p, n, fail, b = protocol.stage2.p, f.n, f.fail, f.b
+    r = b.coeffs.size
+    rho_b = _rebuild_defect(b, b_state.amp)
+    root_p, n_max, mix_max = math.sqrt(p), float(n.max()), float(mixture.max())
+    gain = math.sqrt((1.0 + e_x) * (1.0 + e_y))  # bounds ||X_B|| ||Y_B||
+    n_norm = (1.0 + e_x) * n_max
+    v_norm = 1.0 + e_y  # ||V|| = ||Y_B'Y_B||, and ||V'V - I|| <= e_y (2 + e_y)
+    # N T V^T - sqrt(p) B is X_B diag(amps - sqrt(p) sigma_B) Y_B up to basis, B and T terms.
+    amps = n * mixture
+    map_defect = (gain * (np.abs(amps - root_p * b.coeffs).max()
+                          + v_norm * n_max * mix_max * (e_x + e_y))
+                  + root_p * rho_b + n_norm * v_norm * slack)
+    # N'N + N_fail'N_fail - I is X_B diag(n**2 + fail**2 - 1) X_B' up to basis terms.
+    h = fail**2
+    h[:r] += n**2
+    completion = ((1.0 + e_x) * (np.abs(h - 1.0).max() + e_x * (n_max**2 + float(fail.max())**2))
+                  + e_x)
+    # Row i of X_B' N T has norm amps[i] (0 past r) up to eps, and ||T|| lies in [t_lo, t_hi].
+    eps = (n_max * mix_max * (math.sqrt(1.0 + e_y) * e_x * (2.0 + e_x) + e_y)
+           + math.sqrt(1.0 + e_x) * n_norm * slack)
+    t = float(np.linalg.norm(mixture))
+    t_lo = t * math.sqrt(max(0.0, 1.0 - e_x) * max(0.0, 1.0 - e_y)) - slack
+    balance = float("inf")
+    if t_lo > 0:
+        rows, want = np.zeros(len(h)), np.zeros(len(h))
+        rows[:r], want[:r] = amps, p * b.coeffs**2
+        over = (rows + eps) ** 2 / t_lo**2 - want
+        under = want - np.maximum(rows - eps, 0.0) ** 2 / (t * gain + slack) ** 2
+        balance = np.maximum(np.maximum(over, under).max(), n_norm**2 - 1.0)
+    return np.maximum(map_defect, completion), e_y * (2.0 + e_y), n_norm, balance
 
 
 def verify(
@@ -179,63 +281,34 @@ def verify(
     the stage-2 map residual.  ``LoccProtocol`` checks shapes and weights;
     every maximum here propagates NaN, so a NaN entry fails the protocol.
 
-    Every operator norm is the largest |eigenvalue| of a Hermitian matrix:
-    ``||X||`` is the square root of the top eigenvalue of the smaller Gram
-    matrix ``X X'`` or ``X'X``, and the completeness and unitarity defects
-    are Hermitian already.  The stage-2 flow balance decomposes no ``T``:
-    ``S.T a`` is the squared row norms of ``X_B' N T / ||T||``, and
-    ``||N||^2 - 1`` bounds the row and column sums of ``S`` (``inf`` if
-    ``T = 0``), so it is at least the balance of the decomposed ``T``.
-
-    Stage 1 is the protocol's one value ``outcomes``.  With a ``frame`` (a
-    synthesized protocol) it is checked there (``_frame_stage_one``): each
-    stage-1 residual is an upper bound on the dense one, the intermediate
-    state comes from the frame and the stage-2 map residual adds the bound
-    on its error.  That path trusts that the stacks ``M``/``U`` which
-    ``run_once`` and ``estimate`` apply are the frame's: ``synthesize``
-    builds them from it as read-only views whose flag cannot be set back,
-    and only a write through their flag-locked ``.base`` gets round that.
-    Without a frame, stage 1 is checked on the stacks, with no copy: each
-    branch ``M_k A U_k.T`` once, and a stage-2 protocol's intermediate state
-    as their ``sqrt(q)``-weighted sum.  Either path returns its Gram terms
-    (the ``M_k'M_k``, or the frame's one) with a bound on their error, and
-    ``||M0||`` and completeness come once, here, from ``M0'M0`` plus those
-    terms; stage 2 is checked densely either way.
+    The protocol's ``outcomes.frame`` decides the path, once.  With a frame (a
+    synthesized protocol) every identity, ``M0`` and stage 2 included, is
+    checked there (``_frame_stage_one``, ``_frame_stage_two``) with no
+    eigensolve: each residual is an upper bound on the dense one.  That path
+    trusts that the operators ``run_once`` and ``estimate`` apply are the
+    frame's: ``synthesize`` freezes ``M0``, ``N``, ``V`` and ``N_fail`` with
+    ``numkit.frozen`` and builds the stacks ``M``/``U`` as read-only views
+    whose flag cannot be set back (only a write through their flag-locked
+    ``.base`` gets round that), and ``LoccProtocol`` drops the frame when
+    ``M0`` or stage 2 is replaced.  Without a frame every operator is checked
+    densely (``_dense_stage_one``, ``_dense_stage_two``), with no copy of the
+    stacks: each branch ``M_k A U_k.T`` once, a stage-2 protocol's
+    intermediate state as their ``sqrt(q)``-weighted sum, and every operator
+    norm the largest |eigenvalue| of a Hermitian matrix (``numkit.opnorm``),
+    never an SVD.  On either path ``completeness_residual`` is at least
+    ``|sum q - 1|``: stage 1 is deterministic, so no weight is left to ``M0``.
     """
     _check_dims(protocol, a_state, b_state)
-    s2 = protocol.stage2
-    stage_one = _dense_stage_one if protocol.outcomes.frame is None else _frame_stage_one
-    per_outcome, u_defects, m_norms, grams, gram_err, target, target_slack = stage_one(
-        protocol, a_state, b_state
-    )
-    m0_gram = protocol.M0.conj().T @ protocol.M0
-    acc = np.array(m0_gram, dtype=complex)
-    for g in grams:  # in outcome order
-        acc += g
-    acc -= np.eye(len(acc))
-    m0_norm_sq, completeness = _hermitian_norms(np.array((m0_gram, acc))).tolist()
-    completeness = np.maximum(completeness + gram_err, abs(protocol.outcomes.q.sum() - 1.0))
-
-    unitarity = u_defects.tolist()
-    norms = [*m_norms.tolist(), math.sqrt(m0_norm_sq)]
-
+    stage_one, stage_two = ((_dense_stage_one, _dense_stage_two) if protocol.outcomes.frame is None
+                            else (_frame_stage_one, _frame_stage_two))
+    per_outcome, u_defects, norms, completeness, inter = stage_one(protocol, a_state, b_state)
+    completeness = np.maximum(completeness, abs(protocol.outcomes.q.sum() - 1.0))
+    unitarity, norms = u_defects.tolist(), norms.tolist()
     stage2_residual = balance = 0.0
-    if s2 is not None:
-        v_defect = unitarity_defect(s2.V)
-        n_norm = opnorm(s2.N)
+    if protocol.stage2 is not None:
+        stage2_residual, v_defect, n_norm, balance = stage_two(protocol, b_state, inter)
         unitarity.append(v_defect)
         norms.append(n_norm)
-        map_defect = (opnorm(s2.N @ target @ s2.V.T - math.sqrt(s2.p) * b_state.amp)
-                      + n_norm * math.sqrt(1.0 + v_defect) * target_slack)
-        completion = s2.N.conj().T @ s2.N + s2.N_fail.conj().T @ s2.N_fail - np.eye(len(s2.N))
-        stage2_residual = np.maximum(map_defect, _hermitian_norms(completion))
-        norm_t = float(np.linalg.norm(target))
-        balance = float("inf")
-        if norm_t > 0:
-            fb = schmidt(b_state)
-            flow = (np.abs(fb.left_basis.conj().T @ s2.N @ (target / norm_t)) ** 2).sum(axis=1)
-            flow[: fb.coeffs.size] -= s2.p * fb.coeffs**2
-            balance = np.maximum(np.abs(flow).max(), n_norm**2 - 1.0)
 
     report = VerificationReport(
         completeness_residual=float(completeness),

@@ -22,8 +22,9 @@ and every rank cutoff, ``p_max``'s zero test included, is ``bipartite``'s one.
 
 Stage 1 of every protocol is one value, its ``outcomes``: read-only stacks
 of the K weights ``q`` and operators ``M``, ``U`` and, if synthesized, the
-Schmidt frame they were built from (O(d^2) numbers, ``_StageOneFrame``), in
-which ``verify`` checks stage 1; any other protocol is checked densely.
+Schmidt frame they were built from (O(d^2) numbers, ``_Frame``), which also
+holds ``M0`` and stage 2 and in which ``verify`` checks the whole protocol;
+any other protocol is checked densely.
 """
 
 from __future__ import annotations
@@ -227,23 +228,36 @@ class StageTwo:
     V: np.ndarray
     N_fail: np.ndarray
 
+    def __reduce__(self):  # copies and pickles hold frozen operators
+        return refrozen, (type(self), self.p, self.N, self.V, self.N_fail)
 
-class _StageOneFrame(NamedTuple):
-    """Stage 1 in the Schmidt forms ``a`` of A and ``q`` of Q (Q shares B's bases),
-    from which every ``M``/``U`` follows.
+
+class _Frame(NamedTuple):
+    """A synthesized protocol in the Schmidt forms ``a`` of A, ``q`` of Q and ``b``
+    of B (Q shares B's bases; ``b`` is ``q`` without a stage 2), from which every
+    operator follows.
 
     With ``r = a.coeffs.size``, outcome ``k`` has permutation ``perms[k]``:
     ``M_k`` sends A's ``i``-th left Schmidt vector, ``i < r``, to
     ``scale[k, i]`` times Q's ``perms[k, i]``-th, and
     ``U_k* = y_q' P_k y_a``.  ``scale[k, i] = sqrt(w_k) sigma_Q[pi_k(i)] / sqrt(s_i)``,
     ``w_k`` the outcome's weight ``q`` (0 where the mixture ``s`` is 0), are all
-    the nonzero entries of ``M_k`` in the frame.
+    the nonzero entries of ``M_k`` in the frame; ``M0`` projects onto A's other
+    left Schmidt vectors.  Stage 2 is diagonal: ``N = X_B diag(n) X_Q'``,
+    ``N_fail = X_Q diag(fail) X_Q'`` and ``V = (Y_Q' Y_B)^T`` (``n``, ``fail``
+    None without a stage 2).  ``m0`` and ``stage2`` are the operators built
+    from it, which ``LoccProtocol`` requires of a protocol that keeps the frame.
     """
 
     a: SchmidtForm
     q: SchmidtForm
     perms: np.ndarray
     scale: np.ndarray
+    b: SchmidtForm
+    n: np.ndarray | None
+    fail: np.ndarray | None
+    m0: np.ndarray
+    stage2: StageTwo | None
 
     def __reduce__(self):  # copies and pickles stay frozen; the forms rebuild themselves
         return refrozen, (type(self), *self)
@@ -280,8 +294,11 @@ class LoccProtocol:
 
     ``outcomes`` given as a sequence of ``StageOneOutcome`` are then stacked
     once into stage 1's one value (``.q``, ``.M``, ``.U``, copies, ``.frame``
-    None); only ``synthesize`` gives a frame, in which ``verify`` checks stage
-    1, and ``dataclasses.replace(p, outcomes=tuple(p.outcomes))`` drops it.
+    None).  Only ``synthesize`` gives a frame, in which ``verify`` checks the
+    whole protocol, and it is kept only with the frozen ``M0`` and stage 2
+    built from it: ``dataclasses.replace`` with any other ``M0`` or
+    ``stage2``, or with ``outcomes=tuple(p.outcomes)``, drops it.  Copies and
+    pickles keep it, taking ``M0`` and stage 2 from it.
     """
 
     outcomes: tuple[StageOneOutcome, ...]
@@ -311,11 +328,21 @@ class LoccProtocol:
             )
         if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails both comparisons
             raise InvalidInputError("every q and the stage-2 p must lie in [0, 1]")
-        if not isinstance(self.outcomes, _StageOne):  # stacked once; zero outcomes to (0, d, d)
-            k = len(self.outcomes)
+        s1 = self.outcomes
+        if not isinstance(s1, _StageOne):  # stacked once; zero outcomes to (0, d, d)
+            k = len(s1)
             stacks = (np.array(weights[:k], dtype=float), np.array(alice[:k] or np.zeros((0, da, da))),
                       np.array(bob[:k] or np.zeros((0, db, db))))
             object.__setattr__(self, "outcomes", _StageOne(*stacks))
+        elif s1.frame is not None and (self.M0 is not s1.frame.m0 or s2 is not s1.frame.stage2):
+            # Another M0 or stage 2 than the frame's: verify checks every operator densely.
+            object.__setattr__(self, "outcomes", _StageOne(s1.q, s1.M, s1.U))
+
+    def __reduce__(self):  # a framed copy takes M0 and stage 2 from its own rebuilt frame
+        fields = (self.dims, self.source_digest, self.target_digest)
+        if self.outcomes.frame is None:
+            return type(self), (self.outcomes, self.M0, self.stage2, *fields)
+        return _framed_protocol, (self.outcomes, *fields)
 
     @property
     def p_total(self) -> float:
@@ -323,8 +350,14 @@ class LoccProtocol:
         return 1.0 if self.stage2 is None else self.stage2.p
 
 
-def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_StageOne, np.ndarray]:
-    """Stage 1, its stacks with their (frozen) frame, and ``M0`` from the Schmidt forms of A and Q.
+def _framed_protocol(outcomes: _StageOne, *fields) -> LoccProtocol:
+    """The protocol of a framed stage 1: ``M0`` and stage 2 are its frame's."""
+    return LoccProtocol(outcomes, outcomes.frame.m0, outcomes.frame.stage2, *fields)
+
+
+def _stage_one(fa: SchmidtForm, fq: SchmidtForm):
+    """Stage 1's stacks ``(q, M, U)``, ``M0``, and the frame's ``perms`` and ``scale``,
+    from the Schmidt forms of A and Q.
 
     In the Schmidt bases ``M = sqrt(w) Sigma_Q P S^(-1/2)`` and ``U*`` is a
     permutation, so both are column gathers, made for all K outcomes at once
@@ -338,7 +371,6 @@ def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_StageOne, np.ndarray]
     keep = s > 0.0
     inv_s = np.where(keep, 1.0 / np.sqrt(np.where(keep, s, 1.0)), 0.0)
     scale = np.sqrt(weights)[:, None] * fq.coeffs[perms[:, :r]] * inv_s
-    frame = _StageOneFrame(fa, fq, frozen(perms), frozen(scale))
     m = fq.left_basis.T[perms[:, :r]]  # m[k, i] is column perms[k, i] of X_Q
     m *= scale[:, :, None]
     m = m.swapaxes(1, 2) @ fa.left_basis[:, :r].conj().T
@@ -346,23 +378,23 @@ def _stage_one(fa: SchmidtForm, fq: SchmidtForm) -> tuple[_StageOne, np.ndarray]
     null = np.ones(fa.left_basis.shape[0], dtype=bool)
     null[:r] = ~keep
     x_null = fa.left_basis[:, null]
-    return _StageOne(weights, m, u, frame), x_null @ x_null.conj().T
+    return (weights, m, u), x_null @ x_null.conj().T, perms, scale
 
 
-def _stage_two(
-    fq: SchmidtForm, fb: SchmidtForm, p: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(N, V, N_fail)`` taking Q to B; N is diagonal in the left Schmidt bases,
-    so ``N_fail = X_Q diag(sqrt(1 - p sigma_B**2 / sigma_Q**2)) X_Q'``."""
+def _stage_two(fq: SchmidtForm, fb: SchmidtForm, p: float):
+    """``(N, V, N_fail)`` taking Q to B, and their diagonals ``(n, fail)`` in the frame:
+    ``N = X_B diag(n) X_Q'`` with ``n = sqrt(p) sigma_B / sigma_Q`` (0 past rank(Q)),
+    ``N_fail = X_Q diag(fail) X_Q'`` with ``fail = sqrt(1 - p sigma_B**2 / sigma_Q**2)``."""
     r = fq.coeffs.size
     keep = np.arange(r) < _spectral_rank(fq.coeffs**2)
     ratio = np.where(keep, fb.coeffs / np.where(keep, fq.coeffs, 1.0), 0.0)
-    n = (fb.left_basis[:, :r] * (np.sqrt(p) * ratio)) @ fq.left_basis[:, :r].conj().T
+    diag = np.sqrt(p) * ratio
+    n = (fb.left_basis[:, :r] * diag) @ fq.left_basis[:, :r].conj().T
     fail = np.ones(fq.left_basis.shape[0])
     fail[:r] = np.sqrt(np.clip(1.0 - p * ratio**2, 0.0, None))
     n_fail = (fq.left_basis * fail) @ fq.left_basis.conj().T
     v = (fq.right_basis.conj().T @ fb.right_basis).T
-    return n, v, n_fail
+    return (n, v, n_fail), (diag, fail)
 
 
 def deterministic_stage(
@@ -379,8 +411,8 @@ def deterministic_stage(
     p_max = max_probability(a_state, q_state)
     if p_max < 1.0:
         raise InfeasibleError("spectrum(A) is not majorized by spectrum(Q)", p_max=p_max)
-    outcomes, m0 = _stage_one(schmidt(a_state), schmidt(q_state))
-    return list(outcomes), m0
+    stacks, m0, _, _ = _stage_one(schmidt(a_state), schmidt(q_state))
+    return list(_StageOne(*stacks)), m0
 
 
 def final_contraction(
@@ -399,7 +431,7 @@ def final_contraction(
         raise InvalidInputError(f"dimension mismatch: {q_state.dims} vs {b_state.dims}")
     fq, fb = schmidt(q_state), schmidt(b_state)
     b = fb.coeffs**2
-    return _stage_two(fq, fb, _request(p, _least_ratio(fq.coeffs**2, b, _spectral_rank(b))))
+    return _stage_two(fq, fb, _request(p, _least_ratio(fq.coeffs**2, b, _spectral_rank(b))))[0]
 
 
 def synthesize(a_state: BipartiteState, b_state: BipartiteState, p="max") -> LoccProtocol:
@@ -409,21 +441,20 @@ def synthesize(a_state: BipartiteState, b_state: BipartiteState, p="max") -> Loc
     Schmidt bases of the target, which makes the stage-2 Bob correction the
     identity.  At ``p == 1`` the transformation is deterministic and stage 2
     is omitted.  Raises :class:`InfeasibleError` (carrying ``p_max``) when
-    the request is out of reach.
+    the request is out of reach.  ``M0`` and the stage-2 operators are
+    ``numkit.frozen``, and the protocol keeps the frame it was built from (``_Frame``).
     """
     p_num = _request(p, max_probability(a_state, b_state))
-    fb = schmidt(b_state)
+    fa, fb = schmidt(a_state), schmidt(b_state)
     fq = fb if p_num == 1.0 else SchmidtForm(
         fb.left_basis, frozen(np.sqrt(_intermediate(fb.coeffs**2, p_num))), fb.right_basis)
-    outcomes, m0 = _stage_one(schmidt(a_state), fq)
-    return LoccProtocol(
-        outcomes=outcomes,
-        M0=m0,
-        stage2=None if p_num == 1.0 else StageTwo(float(p_num), *_stage_two(fq, fb, p_num)),
-        dims=a_state.dims,
-        source_digest=a_state.digest,
-        target_digest=b_state.digest,
-    )
+    stacks, m0, perms, scale = _stage_one(fa, fq)
+    stage2, diagonals = None, (None, None)
+    if p_num < 1.0:
+        ops, diagonals = _stage_two(fq, fb, p_num)
+        stage2 = refrozen(StageTwo, float(p_num), *ops)
+    frame = refrozen(_Frame, fa, fq, perms, scale, fb, *diagonals, m0, stage2)
+    return _framed_protocol(_StageOne(*stacks, frame), a_state.dims, a_state.digest, b_state.digest)
 
 
 # ---------------------------------------------------------------------------

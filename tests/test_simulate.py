@@ -20,7 +20,8 @@ from locc_forge.simulate import (
     trial_rng,
     verify,
 )
-from locc_forge.synth import LoccProtocol, StageOneOutcome, _flow_balance, max_probability, synthesize
+from locc_forge.synth import (LoccProtocol, StageOneOutcome, _flow_balance, _framed_protocol, _StageOne,
+                              max_probability, synthesize)
 
 from helpers import (
     comparable_spectra,
@@ -382,7 +383,7 @@ def test_verify_rejects_a_stage_two_that_breaks_only_the_balance():
     # residual, so an excess of 1.5e-9 leaves every other residual below 1e-9.
     sa, sb = from_schmidt([0.5, 0.5], 2, 2), from_schmidt([0.99, 0.01], 2, 2)
     proto = _unbalanced(synthesize(sa, sb, 0.99), sb, 1.5e-9)
-    assert _frame(proto) is not None
+    assert _frame(proto) is None  # a replaced stage 2 drops the frame
     for checked in (proto, _dense(proto)):
         report = verify(checked, sa, sb)
         assert not report.passed
@@ -425,12 +426,14 @@ def _with_nan(protocol, name):
 )
 def test_verify_fails_a_nan_operator(path, name):
     # Every maximum verify takes propagates NaN, so a NaN entry anywhere
-    # fails the protocol with a NaN max_residual.
+    # fails the protocol with a NaN max_residual.  A synthesized protocol's
+    # operators are frozen, so a NaN comes in a replaced operator, which
+    # drops the frame: verify reads it on the dense path.
     proto = synthesize(SKEW, BELL, 0.4)
     if path == "dense":
         proto = _dense(proto)
     bad = _with_nan(proto, name)
-    assert (_frame(bad) is not None) == (path == "frame")
+    assert _frame(bad) is None
     report = verify(bad, SKEW, BELL)
     assert report.passed is False
     assert math.isnan(report.max_residual)
@@ -497,8 +500,9 @@ def test_frame_verify_bounds_dense_on_seeded_pairs(request_p):
 
 
 def test_frame_verify_rejects_other_states_and_a_corrupted_m0():
-    # The frame is checked against the states verify is given, and M0
-    # stays dense, so neither a mismatched state nor a replaced M0 passes.
+    # The frame is checked against the states verify is given, and a replaced
+    # M0, N, V or N_fail drops the frame, so neither a mismatched state nor a
+    # corrupted operator passes.
     rng = np.random.default_rng(67)
     sa, sb = random_state(4, 4, rng), random_state(4, 4, rng)
     for p in (max_probability(sa, sb) / 2, "max"):
@@ -508,14 +512,72 @@ def test_frame_verify_rejects_other_states_and_a_corrupted_m0():
             assert not verify(proto, a, b).passed
             assert not verify(_dense(proto), a, b).passed
         bad_m0 = dataclasses.replace(proto, M0=proto.M0 + 1e-3 * np.eye(4))
-        assert _frame(bad_m0) is _frame(proto)
+        assert _frame(bad_m0) is None
         assert not verify(bad_m0, sa, sb).passed
+        for name in ("N", "V", "N_fail") if proto.stage2 is not None else ():
+            bad = with_stage2(proto, **{name: getattr(proto.stage2, name) + 1e-3 * np.eye(4)})
+            assert _frame(bad) is None
+            assert not verify(bad, sa, sb).passed
     deterministic = synthesize(BELL, SKEW, 1.0)
     swapped = type(SKEW)(SKEW.amp[:, ::-1])
     assert not verify(deterministic, BELL, swapped).passed
     assert not verify(_dense(deterministic), BELL, swapped).passed
     with_null = dataclasses.replace(deterministic, M0=np.diag([0.0, 1e-3]))
-    assert not _verify_framed(with_null, BELL, SKEW).passed
+    assert _frame(with_null) is None
+    assert not verify(with_null, BELL, SKEW).passed
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (3, 5), (5, 3)])
+def test_frame_verify_runs_no_decomposition(dims, monkeypatch):
+    # A synthesized protocol is checked wholly in its frame, M0 and stage 2
+    # included: no eigensolve and no SVD, at every request kind, while its
+    # dense copy passes with the real eigensolver and is bounded by the frame.
+    rng = np.random.default_rng(89)
+    da, db = dims
+    a, b = comparable_spectra(min(da, db), rng)
+    det = state_with_spectrum(a, da, db, rng), state_with_spectrum(b, da, db, rng)
+    p_max = 1.0
+    while not 0.0 < p_max < 1.0:
+        sa, sb = random_state(da, db, rng), random_state(da, db, rng)
+        p_max = max_probability(sa, sb)
+    cases = [(synthesize(*det, 1.0), *det)]
+    cases += [(synthesize(sa, sb, p), sa, sb) for p in ("max", p_max / 2)]
+    dense = [verify(_dense(proto), a, b) for proto, a, b in cases]
+    assert all(report.passed for report in dense)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify decomposed a matrix")
+
+    for name in ("eigvalsh", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for (proto, a, b), checked in zip(cases, dense):
+        _assert_frame_bounds_dense(verify(proto, a, b), checked)
+
+
+def test_frame_verify_checks_the_stage_two_diagonals():
+    # _frame_stage_two checks the frame's own diagonals.  synthesize never
+    # builds a frame whose diagonals are off, so these are made by hand: an
+    # N_fail diagonal 1e-6 too long fails the instrument completion, and the
+    # frame version of _unbalanced (N's top coordinate stretched, N_fail
+    # rebuilt to match) breaks only the flow balance.
+    sa, sb = from_schmidt([0.5, 0.5], 2, 2), from_schmidt([0.99, 0.01], 2, 2)
+    proto = synthesize(sa, sb, 0.99)
+    f, s1 = _frame(proto), proto.outcomes
+    assert verify(proto, sa, sb).passed
+    eps = 1.5e-9 / (2.0 * 0.99 * 0.99)
+    n = f.n * np.array([1.0 + eps, 1.0])
+    for only_balance, frame in ((False, f._replace(fail=f.fail * (1.0 + 1e-6))),
+                                (True, f._replace(n=n, fail=np.sqrt(1.0 - n**2)))):
+        report = verify(_framed_protocol(_StageOne(s1.q, s1.M, s1.U, frame), proto.dims), sa, sb)
+        assert not report.passed
+        if not only_balance:
+            assert report.stage2_residual > 1e-8
+            continue
+        assert report.substochastic_balance_residual > 1.4e-9
+        others = dataclasses.replace(report, substochastic_balance_residual=0.0)
+        assert others.max_residual < 0.8e-9
+    # The control: the same stage 1 rebuilt with the frame synthesize made passes.
+    assert verify(dataclasses.replace(proto, outcomes=_StageOne(s1.q, s1.M, s1.U, f)), sa, sb).passed
 
 
 def test_frame_outcomes_are_read_only():
@@ -527,16 +589,27 @@ def test_frame_outcomes_are_read_only():
             op[0] = 1.0
         with pytest.raises(ValueError):
             op.flags.writeable = True
-    for f in (outcomes.frame, synthesize(SKEW, BELL, 0.4).outcomes.frame):
-        for value in (f.perms, f.scale, f.q.coeffs):
+    stage2 = synthesize(SKEW, BELL, 0.4)
+    for f in (outcomes.frame, stage2.outcomes.frame):
+        for value in (f.perms, f.scale, f.q.coeffs, *(v for v in (f.n, f.fail) if v is not None)):
             for a in (value, value.base):
                 with pytest.raises(ValueError):
                     a.flags.writeable = True
+    # M0 and the stage-2 operators are frozen too, and are the frame's own.
+    s2 = stage2.stage2
+    assert stage2.M0 is stage2.outcomes.frame.m0 and s2 is stage2.outcomes.frame.stage2
+    for op in (proto.M0, stage2.M0, s2.N, s2.V, s2.N_fail):
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+        for a in (op, op.base):
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
     rest = outcomes[1:]
     assert type(rest) is tuple and rest[0] is outcomes[1]
     replaced = dataclasses.replace(proto, outcomes=outcomes[:1] + rest)
     assert _frame(replaced) is None
     assert _frame(dataclasses.replace(proto, source_digest="other")) is _frame(proto)
+    assert _frame(dataclasses.replace(stage2, M0=stage2.M0, stage2=s2)) is _frame(stage2)
 
 
 def test_stage_one_is_one_value_on_every_protocol():
@@ -588,7 +661,8 @@ def test_copy_and_pickle_keep_stage_one(framed):
         s1 = again.outcomes
         arrays, forms = [source.amp, target.amp, s1.q, s1.M, s1.U], [schmidt(source)]
         if framed:
-            arrays += [s1.frame.perms, s1.frame.scale]
+            s2 = again.stage2
+            arrays += [s1.frame.perms, s1.frame.scale, again.M0, s2.N, s2.V, s2.N_fail]
             forms += [s1.frame.a, s1.frame.q]
         for form in forms:
             arrays += [form.left_basis, form.coeffs, form.right_basis]
